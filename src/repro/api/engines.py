@@ -226,11 +226,27 @@ class PoolEngine(_LocalEngine):
         # failover chain (not this engine) owns the recovery.
         get_faults().check("engine.pool")
         out: Dict[int, Dict] = {}
+        dispatch: List[List[int]] = []
+        for unit in units:
+            # The per-unit site of every local engine, hit here in the
+            # parent with the in-process path's semantics: a transient
+            # fault fails the whole call, any other fails the unit.
+            try:
+                get_faults().check("engine.fit")
+            except TransientError:
+                raise
+            except Exception as exc:
+                out.update({i: {"error": repr(exc)} for i in unit})
+            else:
+                dispatch.append(unit)
+        if not dispatch:
+            return out
         pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(units)),
+            max_workers=min(workers, len(dispatch)),
             initializer=_pool_worker_init)
         try:
-            for unit, got in pool_map_units(pool, units, tasks.__getitem__):
+            for unit, got in pool_map_units(pool, dispatch,
+                                            tasks.__getitem__):
                 if isinstance(got, BaseException):
                     got = [{"error": repr(got)}] * len(unit)
                 for i, payload in zip(unit, got):

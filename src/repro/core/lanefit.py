@@ -15,9 +15,11 @@ lock-step through one batched Adam loop (:class:`~repro.optim.LaneAdam`
 + :class:`~repro.optim.LaneReduceLROnPlateau` over
 :class:`~repro.core.loss.LaneGridLoss`).  A lane that converges is
 *compacted out* of the batch (it stops costing work); the removal /
-insertion rounds and the quasi-Newton polish — cheap relative to the
-descent, and inherently per-lane — reuse the scalar fitter's own code
-paths on per-lane views.
+insertion rounds and the variable-projection polish run per lane on
+the scalar fitter's own code paths.  The polish is no small cost (one
+scipy L-BFGS-B per lane, converging in tens to hundreds of
+evaluations), but a one-request ``Session.fit`` is a single lane, so
+batching it across lanes would buy that common case nothing.
 
 Equivalence contract
 --------------------

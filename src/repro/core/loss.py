@@ -20,6 +20,11 @@ Two evaluators are provided:
   integrand is smooth per region and a modest node count is essentially
   exact.
 
+With the breakpoints held fixed, ``f_hat`` is linear in the values and
+edge slopes, so :meth:`GridLoss.solve_values` finds their grid-MSE
+optimum exactly (the inner solve of the fitter's variable-projection
+polish).
+
 The gradient derivation: with residual ``r(x) = f_hat(x) - f(x)`` and an
 inner segment ``[p_L, p_R]`` carrying values ``v_L, v_R``,
 
@@ -83,6 +88,7 @@ class GridLoss:
             raise FitError("target function produced non-finite values on the grid")
         self.w = _trapezoid_weights(int(n_points))
         self._lane: Optional["LaneGridLoss"] = None  # lazy 1-lane kernel
+        self._moments: Optional[np.ndarray] = None   # lazy solve workspace
 
     @classmethod
     def from_samples(cls, xs: np.ndarray, ys: np.ndarray,
@@ -119,6 +125,7 @@ class GridLoss:
         obj.ys = ys.copy() if copy else ys
         obj.w = _trapezoid_weights(xs.size)
         obj._lane = None
+        obj._moments = None
         return obj
 
     # ------------------------------------------------------------------ #
@@ -151,16 +158,124 @@ class GridLoss:
         """
         p = np.asarray(p, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
-        lane = self._lane
-        if lane is None:
-            lane = self._lane = LaneGridLoss([self])
-        loss, g = lane.loss_and_grads(p[None], v[None],
-                                      np.array([float(ml)]),
-                                      np.array([float(mr)]))
+        loss, g = self._lane_kernel().loss_and_grads(
+            p[None], v[None], np.array([float(ml)]), np.array([float(mr)]))
         return float(loss[0]), GridGradients(
             d_breakpoints=g.d_breakpoints[0], d_values=g.d_values[0],
             d_left_slope=float(g.d_left_slope[0]),
             d_right_slope=float(g.d_right_slope[0]))
+
+    def _lane_kernel(self) -> "LaneGridLoss":
+        if self._lane is None:
+            self._lane = LaneGridLoss([self])
+        return self._lane
+
+    # ------------------------------------------------------------------ #
+    # Exact values for fixed breakpoints (variable projection)
+    # ------------------------------------------------------------------ #
+    def solve_values(self, p: np.ndarray, v: np.ndarray, ml: float, mr: float,
+                     pinned: Tuple[bool, bool] = (False, False),
+                     learn_slopes: Tuple[bool, bool] = (True, True)
+                     ) -> Tuple[np.ndarray, float, float]:
+        """Grid-MSE-optimal values and edge slopes for sorted breakpoints.
+
+        ``f_hat`` is linear in ``theta = (m_l, v_0 .. v_{n-1}, m_r)``, so
+        the optimum solves the weighted normal equations
+        ``(Phi^T W Phi) theta = Phi^T W y``.  In that order region ``r``
+        carries parameters ``r`` and ``r + 1`` through two basis
+        functions ``(a, b)``: ``(x - p_0, 1)`` on the left edge, the hats
+        ``(1 - t, t)`` inside, ``(1, x - p_{n-1})`` on the right edge.  So
+        the matrix is tridiagonal, assembled from five moments per region,
+        ``sum w {a a, a b, b b, a y, b y}``, taken in one
+        ``np.add.reduceat`` over the contiguous grid spans of
+        :meth:`LaneGridLoss._expansion`.  ``1 - t`` is computed as
+        ``(p_r - x) / (p_r - p_{r-1})``, not by cancellation, so a basis
+        function that is tiny on the grid keeps a tiny moment.
+
+        Held at their incoming value: pinned edge values (``pinned``;
+        ``v`` must already lie on the pin line), edge slopes that are not
+        learnable (``learn_slopes``), and every parameter whose basis
+        function vanishes on the whole grid (e.g. the right slope when no
+        grid point lies right of ``p_{n-1}``).  Should the remaining
+        system still be singular, the minimum-norm change from the
+        incoming parameters is taken.  Returns ``(v, m_l, m_r)``.
+        """
+        p = np.asarray(p, dtype=np.float64)
+        n = p.size
+        if n < 2:
+            raise FitError(f"value solve needs >= 2 breakpoints, got {n}")
+        xs, ys = self.xs, self.ys
+        G = xs.size
+        lane = self._lane_kernel()
+        ws = lane._scratch(n)
+        counts = lane._expansion(p[None], ws)[0]
+
+        # Per region: the breakpoints either side and the scale that makes
+        # a = (hi - x) * scale and b = (x - lo) * scale its basis functions
+        # (the edge regions' constant ones are set after).
+        table = np.empty((3, n + 1))
+        table[0, 0] = p[0]
+        table[0, 1:] = p
+        table[1, :n] = p
+        table[1, n] = p[-1]
+        table[2, 0] = -1.0
+        table[2, n] = 1.0
+        np.divide(1.0, np.maximum(p[1:] - p[:-1], 1e-12), out=table[2, 1:n])
+        lo, hi, scale = np.repeat(table, counts, axis=1)
+        a = np.subtract(hi, xs, out=hi)
+        a *= scale
+        b = np.subtract(xs, lo, out=lo)
+        b *= scale
+        b[:counts[0]] = 1.0
+        a[G - counts[n]:] = 1.0
+
+        blk = self._moments
+        if blk is None:  # the five moment rows plus a zero sentinel column
+            blk = self._moments = np.zeros((5, G + 1))
+        rows = blk[:, :G]
+        wa = np.multiply(self.w, a, out=scale)
+        np.multiply(wa, a, out=rows[0])
+        np.multiply(wa, b, out=rows[1])
+        np.multiply(wa, ys, out=rows[3])
+        wb = np.multiply(self.w, b, out=a)
+        np.multiply(wb, b, out=rows[2])
+        np.multiply(wb, ys, out=rows[4])
+        s = np.add.reduceat(blk, ws["edges"][0, :-1], axis=1)
+        s[:, counts == 0] = 0.0  # reduceat reads an empty span's neighbour
+        s_aa, off, s_bb, s_ay, s_by = s
+
+        k = n + 2
+        diag = np.zeros(k)
+        diag[:-1] = s_aa
+        diag[1:] += s_bb
+        rhs = np.zeros(k)
+        rhs[:-1] = s_ay
+        rhs[1:] += s_by
+        theta = np.empty(k)
+        theta[0] = ml
+        theta[1:-1] = v
+        theta[-1] = mr
+        held = diag <= 0.0
+        held[[0, 1, n, n + 1]] |= (not learn_slopes[0], pinned[0], pinned[1],
+                                   not learn_slopes[1])
+        if held.any():
+            # Move the held parameters to the right-hand side and give
+            # each an identity row, so one solve serves every policy.
+            fixed = np.where(held, theta, 0.0)
+            rhs[:-1] -= off * fixed[1:]
+            rhs[1:] -= off * fixed[:-1]
+            off[held[:-1] | held[1:]] = 0.0
+            diag[held] = 1.0
+            rhs[held] = theta[held]
+        A = np.zeros((k, k))
+        A.flat[::k + 1] = diag
+        A.flat[1::k + 1] = off
+        A.flat[k::k + 1] = off
+        try:
+            sol = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError:
+            sol = theta + np.linalg.lstsq(A, rhs - A @ theta, rcond=None)[0]
+        return sol[1:-1], float(sol[0]), float(sol[-1])
 
     # ------------------------------------------------------------------ #
     # Per-region loss mass (insertion heuristic)

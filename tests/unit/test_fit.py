@@ -5,7 +5,8 @@ import pytest
 from dataclasses import replace
 
 from repro.core import evaluate, uniform_pwl
-from repro.core.fit import FitConfig, FlexSfuFitter, fit_activation
+from repro.core.fit import (FitConfig, FlexSfuFitter, fit_activation,
+                            resolve_problem)
 from repro.core.loss import quadrature_mse
 from repro.errors import FitError
 from repro.functions import EXP, GELU, RELU, SIGMOID, TANH
@@ -118,6 +119,50 @@ class TestEnhancements:
         cfg = replace(fast_fit_config, n_breakpoints=2)
         res = FlexSfuFitter(cfg).fit(TANH)
         assert res.rounds == 0
+
+
+class TestPolish:
+    @staticmethod
+    def _setup(cfg, fn):
+        fitter = FlexSfuFitter(cfg)
+        prob = resolve_problem(fn, cfg)
+        state = fitter._initial_state(fn, prob.spec, prob.a, prob.b,
+                                      "curvature")
+        return fitter, prob, state
+
+    def test_objective_errors_reach_the_caller(self, fast_fit_config,
+                                               monkeypatch):
+        fitter, prob, state = self._setup(fast_fit_config, GELU)
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("broken value solve")
+
+        monkeypatch.setattr(prob.loss, "solve_values", broken)
+        with pytest.raises(ZeroDivisionError, match="broken value solve"):
+            fitter._polish(prob.loss, prob.spec, state, prob.lo, prob.hi,
+                           prob.eps, maxiter=20)
+
+    @pytest.mark.parametrize("fn", [GELU, EXP], ids=["pinned", "free-edge"])
+    def test_polished_values_solve_the_least_squares(self, fast_fit_config,
+                                                     fn):
+        fitter, prob, state = self._setup(fast_fit_config, fn)
+        start = prob.loss.loss(state.p, state.v, float(state.ml[0]),
+                               float(state.mr[0]))
+        got = fitter._polish(prob.loss, prob.spec, state, prob.lo, prob.hi,
+                             prob.eps, maxiter=50)
+        assert got < start
+        assert got == prob.loss.loss(state.p, state.v, float(state.ml[0]),
+                                     float(state.mr[0]))
+        # The kept values are the exact solve for the kept breakpoints.
+        spec = prob.spec
+        v, ml, mr = prob.loss.solve_values(
+            state.p, state.v, float(state.ml[0]), float(state.mr[0]),
+            pinned=(spec.left.pinned, spec.right.pinned),
+            learn_slopes=(spec.left.slope_learnable,
+                          spec.right.slope_learnable))
+        assert np.allclose(v, state.v, rtol=1e-9, atol=1e-12)
+        assert [ml, mr] == pytest.approx([state.ml[0], state.mr[0]],
+                                         rel=1e-9, abs=1e-12)
 
 
 class TestRemovalScan:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.boundary import BoundarySpec
 from repro.core.loss import (
     GridLoss,
     max_abs_error,
@@ -12,7 +13,7 @@ from repro.core.loss import (
 )
 from repro.core.pwl import PiecewiseLinear
 from repro.errors import FitError
-from repro.functions import GELU, TANH
+from repro.functions import EXP, GELU, TANH
 
 
 @pytest.fixture
@@ -184,3 +185,120 @@ class TestQuadrature:
         loss = GridLoss(TANH, float(p[0]), float(p[-1]), n_points=65536)
         mass = loss.region_sq_mass(p, v, 0.0, 0.0)
         assert np.allclose(seg, mass[1:-1], rtol=5e-3, atol=1e-10)
+
+
+class TestSolveValues:
+    """The exact value solve against a dense weighted least squares on
+    the explicit G x (n + 2) design matrix."""
+
+    POLICIES = ("asymptote", "free", "clamp")
+
+    @staticmethod
+    def _design(loss, p):
+        """Columns v_0 .. v_{n-1}, m_l, m_r of f_hat on the loss grid."""
+        xs, n = loss.xs, p.size
+        region = np.searchsorted(p, xs, side="right")
+        phi = np.zeros((xs.size, n + 2))
+        left, right = region == 0, region == n
+        phi[left, 0] = 1.0
+        phi[left, n] = xs[left] - p[0]
+        phi[right, n - 1] = 1.0
+        phi[right, n + 1] = xs[right] - p[-1]
+        for r in range(1, n):
+            sel = region == r
+            t = (xs[sel] - p[r - 1]) / (p[r] - p[r - 1])
+            phi[sel, r - 1] = 1.0 - t
+            phi[sel, r] = t
+        return phi
+
+    @staticmethod
+    def _breakpoints(rng, loss, n, eps):
+        """Random sorted breakpoints with one gap of exactly ``eps``, one
+        segment strictly between two grid points, and (sometimes) edge
+        breakpoints outside the grid."""
+        h = loss.xs[1] - loss.xs[0]
+        p = np.sort(rng.uniform(loss.a - 0.5, loss.b + 0.5, n - 3))
+        g = int(rng.integers(8, loss.xs.size - 8))
+        extra = [p[0] + eps, loss.xs[g] + 0.25 * h, loss.xs[g] + 0.5 * h]
+        return np.sort(np.concatenate([p, extra]))
+
+    def _check(self, loss, p, v, ml, mr, spec):
+        n = p.size
+        pinned = (spec.left.pinned, spec.right.pinned)
+        learn = (spec.left.slope_learnable, spec.right.slope_learnable)
+        got_v, got_ml, got_mr = loss.solve_values(p, v, ml, mr, pinned, learn)
+        got = np.concatenate([got_v, [got_ml, got_mr]])
+        theta = np.concatenate([v, [ml, mr]])
+
+        phi = self._design(loss, p)
+        held = np.zeros(n + 2, dtype=bool)
+        held[[0, n - 1]] = pinned
+        held[[n, n + 1]] = np.logical_not(learn)
+        sw = np.sqrt(loss.w)
+        target = loss.ys - phi[:, held] @ theta[held]
+        ref = theta.copy()
+        ref[~held] = np.linalg.lstsq(sw[:, None] * phi[:, ~held],
+                                     sw * target, rcond=None)[0]
+
+        # Held and unsupported parameters keep their input value.
+        norms = np.sqrt(loss.w @ phi ** 2)
+        keep = held | (norms == 0.0)
+        assert np.array_equal(got[keep], theta[keep])
+
+        cur = loss.loss(p, got_v, got_ml, got_mr)
+        best = loss.loss(p, ref[:n], ref[n], ref[n + 1])
+        assert cur == pytest.approx(best, rel=1e-9)
+
+        # Free, supported parameters: the residual is orthogonal to their
+        # basis functions, i.e. their gradients vanish relative to the
+        # Cauchy-Schwarz bound 2 * sqrt(loss) * ||phi_j||_w.
+        _, g = loss.loss_and_grads(p, got_v, got_ml, got_mr)
+        grad = np.concatenate([g.d_values, [g.d_left_slope, g.d_right_slope]])
+        free = ~keep
+        bound = 2.0 * np.sqrt(cur) * norms[free]
+        assert np.all(np.abs(grad[free]) <= 1e-9 * bound)
+        return got, norms
+
+    @pytest.mark.parametrize("left", POLICIES)
+    @pytest.mark.parametrize("right", POLICIES)
+    def test_matches_dense_lstsq_for_every_policy_pair(self, left, right):
+        loss = GridLoss(TANH, -4.0, 4.0, n_points=1024)
+        spec = BoundarySpec.resolve(TANH, left, right)
+        eps = 2e-5 * (loss.b - loss.a)
+        rng = np.random.default_rng(sum(map(ord, left + right)))
+        for n in (4, 9, 16):
+            p = self._breakpoints(rng, loss, n, eps)
+            v = np.tanh(p) + 0.01 * rng.normal(size=n)
+            ml = spec.left.slope + 0.1 * spec.left.slope_learnable
+            mr = spec.right.slope - 0.1 * spec.right.slope_learnable
+            if spec.left.pinned:
+                v[0] = spec.left.pin_value(p[0])
+            if spec.right.pinned:
+                v[-1] = spec.right.pin_value(p[-1])
+            self._check(loss, p, v, ml, mr, spec)
+
+    def test_unsupported_parameters_keep_their_value(self):
+        # No grid point left of p_1 or right of p_{n-1}: v_0 and both
+        # free slopes have no support (a min-norm solve would zero them).
+        loss = GridLoss(EXP, -4.0, 2.0, n_points=512)
+        spec = BoundarySpec.resolve(EXP, "free", "free")
+        p = np.array([-4.4, -4.2, -1.0, 0.5, 2.3])
+        v = np.exp(p)
+        got, norms = self._check(loss, p, v, 0.3, 7.0, spec)
+        assert norms[0] == 0.0 and norms[-1] == 0.0 and norms[-2] == 0.0
+        assert got[-2:].tolist() == [0.3, 7.0]
+        assert got[0] == v[0]
+
+    def test_rank_deficient_support_takes_the_min_norm_step(self):
+        # v_{n-1} and m_r share the last grid point as their only support:
+        # a singular system, so the solve falls back to the minimum-norm
+        # change from the input.
+        loss = GridLoss(TANH, -4.0, 4.0, n_points=256)
+        spec = BoundarySpec.resolve(TANH, "free", "free")
+        h = loss.xs[1] - loss.xs[0]
+        p = np.array([-3.0, -1.0, 1.0, 4.0 - 0.5 * h, 4.0 - 0.25 * h])
+        self._check(loss, p, np.tanh(p), 0.0, 0.05, spec)
+
+    def test_rejects_a_single_breakpoint(self, tanh_loss):
+        with pytest.raises(FitError):
+            tanh_loss.solve_values(np.array([0.0]), np.array([0.0]), 0.0, 0.0)
