@@ -540,8 +540,7 @@ class Session:
                 n_breakpoints: Optional[int] = None,
                 config: Optional["FitConfig"] = None,
                 verify: bool = True, optimize: bool = False,
-                passes: Optional[List[str]] = None,
-                workers: Optional[int] = None) -> "Program":
+                passes: Optional[List[str]] = None) -> "Program":
         """Compile a :class:`~repro.graph.ir.Graph` into a hot-runnable
         :class:`~repro.graph.program.Program`.
 
@@ -553,20 +552,18 @@ class Session:
         size.  ``verify`` gates the compile-time static checks (see
         :func:`repro.graph.program.compile_graph`).
 
-        ``optimize`` / ``passes`` / ``workers`` forward to
+        ``optimize`` / ``passes`` forward to
         :func:`~repro.graph.program.compile_graph` — ``optimize=True``
         runs the default optimization pipeline
-        (:data:`repro.graph.opt.DEFAULT_PASSES`), ``passes`` names an
-        explicit ordered subset, and ``workers`` sizes the stage-
-        parallel run loop (default ``REPRO_EXEC_WORKERS``).
+        (:data:`repro.graph.opt.DEFAULT_PASSES`) and ``passes`` names an
+        explicit ordered subset.
         """
         from ..graph.program import compile_graph
 
         if n_breakpoints is not None:
             graph = self.rewrite(graph, n_breakpoints, config=config)
         return compile_graph(graph, batch_size=batch_size, verify=verify,
-                             optimize=optimize, passes=passes,
-                             workers=workers)
+                             optimize=optimize, passes=passes)
 
     # ------------------------------------------------------------------ #
     # Telemetry

@@ -2,12 +2,13 @@
 
 Mirrors the paper's deployment flow — models become operator graphs, a
 rewrite pass swaps every activation node for its Flex-SFU PWL
-implementation, and the executor / profiler provide the accuracy and
-workload numbers the end-to-end evaluation needs.
+implementation, and the compiled :class:`Program` with its static and
+runtime profiles provides the accuracy and workload numbers the
+end-to-end evaluation needs.
 """
 
 from .builder import GraphBuilder
-from .executor import Executor, GraphProfile, NodeProfile, interpret
+from .executor import GraphProfile, NodeProfile, interpret
 from .ir import Graph, Node
 from .ops import (CostRecord, OP_REGISTRY, get_op, infer_node_shapes,
                   register_op, register_shape)
@@ -30,7 +31,6 @@ __all__ = [
     "Graph",
     "Node",
     "GraphBuilder",
-    "Executor",
     "GraphProfile",
     "NodeProfile",
     "CostRecord",

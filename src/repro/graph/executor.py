@@ -1,29 +1,24 @@
-"""Eager executor — now a thin shim over the compiled :class:`Program`.
-
-``Executor.run`` compiles the graph once at construction (validation,
-scheduling, op resolution, PWL kernel baking — see
-:mod:`repro.graph.program`) and every forward pass executes the cached
-plan; ``Executor.profile`` runs the same plan while collecting per-node
-:class:`~repro.graph.ops.CostRecord` entries from runtime shapes.
+"""The reference interpreter: the semantics oracle of compiled programs.
 
 :func:`interpret` preserves the original per-run interpreter verbatim.
 It is the *reference semantics*: the property suite asserts
-``Program.run`` is bitwise-equal to it across op/activation sweeps, and
-benchmarks use it as the seed baseline.
+:meth:`~repro.graph.program.Program.run` is bitwise-equal to it across
+op/activation sweeps, and benchmarks use it as the seed baseline.  To
+run a graph, compile it with :func:`~repro.graph.program.compile_graph`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
 from ..analysis.diagnostics import fail
 from .ir import Graph
 from .ops import get_op
-from .program import GraphProfile, NodeProfile, Program, compile_graph
+from .program import GraphProfile, NodeProfile
 
-__all__ = ["Executor", "GraphProfile", "NodeProfile", "interpret"]
+__all__ = ["GraphProfile", "NodeProfile", "interpret"]
 
 
 def interpret(graph: Graph, feeds: Dict[str, np.ndarray],
@@ -69,28 +64,3 @@ def interpret(graph: Graph, feeds: Dict[str, np.ndarray],
                                              cost=cost))
     return values
 
-
-class Executor:
-    """Evaluates a :class:`Graph` with numpy semantics.
-
-    Construction compiles the graph (one-time validation + planning);
-    ``run``/``profile`` execute the compiled program.  The results are
-    bitwise-identical to the historical per-run interpreter — callers
-    that rebuilt an Executor per forward pass keep working, they just
-    stop paying per-run resolution.
-    """
-
-    def __init__(self, graph: Graph) -> None:
-        self.graph = graph
-        self.program: Program = compile_graph(graph)
-        self._order = self.program.order
-
-    # ------------------------------------------------------------------ #
-    def run(self, feeds: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Forward pass; returns the graph outputs by name."""
-        return self.program.run(feeds)
-
-    def profile(self, feeds: Dict[str, np.ndarray]
-                ) -> Tuple[Dict[str, np.ndarray], GraphProfile]:
-        """Forward pass plus per-node cost records (runtime shapes)."""
-        return self.program.run_profiled(feeds)

@@ -5,8 +5,8 @@ An ordered, named pass framework that
 kernel baking when called with ``optimize=True``.  See
 :mod:`repro.graph.opt.pipeline` for the framework and
 :mod:`repro.graph.opt.passes` for the four built-in passes
-(constant folding, dead-node elimination, kernel fusion, region
-scheduling).
+(constant folding, dead-node elimination, kernel fusion, and the
+dependence-level reorder).
 """
 
 from .pipeline import (DEFAULT_PASSES, Pass, PassPipeline, PassReport,

@@ -5,12 +5,12 @@ and must preserve the bitwise-equality oracle vs the eager interpreter
 on the original graph — fused records replay the *identical* numpy
 expressions of the ops they replace, constant folding executes the
 *registered* op semantics at compile time, and the region scheduler
-only reorders provably independent records.
+only reorders the schedule into another topological order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
@@ -91,7 +91,6 @@ class ConstantFolding(Pass):
                 g.initializers[value] = np.asarray(arr)
             folded += 1
         if folded:
-            plan.stages = None
             _keep(plan, kept)
             _prune_initializers(g)
         return f"folded {folded} node(s)"
@@ -131,7 +130,6 @@ class DeadNodeElimination(Pass):
                 worklist.extend(node.inputs)
         dead = [n for n in plan.order if id(n) not in live]
         if dead:
-            plan.stages = None
             _keep(plan, [n for n in plan.order if id(n) in live])
             _prune_initializers(g)
         return f"eliminated {len(dead)} dead node(s)"
@@ -220,7 +218,6 @@ class KernelFusion(Pass):
             chains += 1
 
         if chains:
-            plan.stages = None
             new_order: List[Node] = []
             for node in plan.order:
                 if id(node) in replacement:
@@ -240,20 +237,13 @@ class KernelFusion(Pass):
 # --------------------------------------------------------------------- #
 @register_graph_pass("schedule-regions")
 class RegionScheduler(Pass):
-    """Partition the schedule into dependence levels (stages).
+    """Reorder the schedule by dependence level.
 
-    Stage ``k`` holds every node whose longest producer chain has
-    length ``k`` — members of one stage share no data dependencies, so
-    the run loop may execute them concurrently on the shared worker
-    pool (``REPRO_EXEC_WORKERS``; numpy releases the GIL inside BLAS).
-    The plan order is rewritten to the stage concatenation, which is
-    itself a valid topological order, so the same program also runs
-    sequentially, bitwise-identically.
-
-    Arena consequences are handled by the compiler: with stages
-    present, slot frees are deferred to stage barriers and outputs
-    never alias a slot freed within their own stage, so concurrent
-    records touch disjoint slots.
+    A node's level is the length of its longest producer chain; the
+    plan order becomes the level-by-level concatenation (stable within
+    a level), which is itself a valid topological order, so outputs
+    stay bitwise-identical.  The reorder changes only which records
+    run back to back and when the arena frees their inputs.
     """
 
     name = "schedule-regions"
@@ -270,21 +260,7 @@ class RegionScheduler(Pass):
             levels.append(level)
             for value in node.outputs:
                 producer_level[value] = level
-        if not plan.order:
-            plan.stages = []
-            return "0 stages"
-        n_stages = max(levels) + 1
-        buckets: List[List[Node]] = [[] for _ in range(n_stages)]
-        for node, level in zip(plan.order, levels):
-            buckets[level].append(node)
-        new_order: List[Node] = []
-        stages: List[List[int]] = []
-        for bucket in buckets:
-            start = len(new_order)
-            new_order.extend(bucket)
-            stages.append(list(range(start, len(new_order))))
-        plan.order = new_order
-        plan.graph.nodes = list(new_order)
-        plan.stages = stages
-        width = max(len(s) for s in stages)
-        return f"{len(stages)} stage(s), max width {width}"
+        ranked = sorted(range(len(plan.order)), key=levels.__getitem__)
+        plan.order = [plan.order[i] for i in ranked]
+        plan.graph.nodes = list(plan.order)
+        return f"{max(levels, default=-1) + 1} level(s)"

@@ -17,10 +17,10 @@ Contract every pass must honour (the property suite enforces both):
   MACs, activation elements — are preserved, only the record
   granularity changes).
 
-Ordering guarantees: passes run in the order given.  Any pass that
-rewrites the graph invalidates a previously computed stage schedule
-(``plan.stages`` is dropped), so ``schedule-regions`` should be listed
-last — :data:`DEFAULT_PASSES` does exactly that.
+Ordering guarantees: passes run in the order given; each pass sees
+the plan exactly as the previous one left it.  The dependence-level
+reorder (``schedule-regions``) comes last in :data:`DEFAULT_PASSES`,
+after the passes that remove or merge records.
 """
 
 from __future__ import annotations
@@ -57,16 +57,13 @@ class Plan:
     may mutate nodes, initializers and the schedule freely without
     touching the caller's graph.  ``shapes`` maps every value to its
     static shape at ``batch_size`` (``None`` when inference failed;
-    passes must tolerate that).  ``stages`` is set by the region
-    scheduler: a partition of ``order`` indices into dependence levels
-    whose members may execute concurrently.
+    passes must tolerate that).
     """
 
     graph: Graph
     order: List[Node]
     batch_size: int
     shapes: Optional[Dict[str, Shape]] = None
-    stages: Optional[List[List[int]]] = None
 
 
 class Pass:
@@ -74,8 +71,7 @@ class Pass:
 
     Subclasses set :attr:`name` and implement :meth:`run`, mutating the
     plan in place and returning a short human-readable note describing
-    what changed (``"folded 3 nodes"``).  A pass that rewrites the node
-    list must drop a stale stage schedule (``plan.stages = None``).
+    what changed (``"folded 3 nodes"``).
     """
 
     name: str = ""
@@ -135,7 +131,7 @@ PASS_REGISTRY: Dict[str, Callable[[], Pass]] = {}
 
 #: Canonical pass order: folding exposes dead producers, elimination
 #: shrinks the fusion search space, fusion collapses chains, and the
-#: region scheduler partitions whatever is left.
+#: region scheduler reorders whatever is left by dependence level.
 DEFAULT_PASSES: Tuple[str, ...] = (
     "fold-constants",
     "eliminate-dead-nodes",

@@ -1,8 +1,8 @@
 """Compiled graph programs: plan once, run hot.
 
-The eager :class:`~repro.graph.executor.Executor` re-resolves every op,
-rebuilds the value dict and re-derives costs from runtime shapes on
-every forward pass — fine for one-shot accuracy sweeps, wasteful for
+The reference interpreter (:func:`~repro.graph.executor.interpret`)
+re-resolves every op, rebuilds the value dict and re-derives costs from
+runtime shapes on every forward pass — fine as an oracle, wasteful for
 repeated inference.  :func:`compile_graph` performs all of that work
 exactly once:
 
@@ -14,12 +14,12 @@ exactly once:
 * **value arena with liveness** — values live in an integer-slot list
   instead of a name dict; slots are reused once their last consumer has
   run, so peak live tensors track the graph's true working set;
-* **op resolution + kernel baking** — each node's implementation is
-  resolved to a prebound callable; PWL activations become
-  :class:`PwlKernel` records carrying the memoised ``(m, q)``
-  coefficient table (the same table
+* **kernel baking** — one per-op table of bakers turns every node, and
+  every step of a fused node, into a kernel with its weights prebound;
+  PWL activations become :class:`PwlKernel` records carrying the
+  memoised ``(m, q)`` coefficient table (the same table
   :func:`repro.core.tables.build_tables` quantises for the hardware
-  LTC), so an apply is one ``searchsorted`` plus one fused
+  LTC), so an apply is one breakpoint lookup plus one fused
   ``m[r] * x + q[r]``;
 * **static cost profile** — :attr:`Program.profile` is computed from
   the inferred shapes at compile time; pricing a model under the
@@ -27,17 +27,15 @@ exactly once:
 
 ``Program.run(feeds)`` accepts any batch size (the plan is
 batch-agnostic); ``run_many`` fuses a list of per-sample feeds into one
-stacked pass.  Outputs are bitwise-identical to the eager interpreter —
-the property suite enforces it op-by-op.
+stacked pass; ``run_timed`` and ``run_profiled`` walk the same loop
+with a per-record hook.  Outputs are bitwise-identical to the reference
+interpreter — the property suite enforces it op-by-op.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -53,7 +51,8 @@ from ..functions.softmax import SoftmaxApproximator
 from ..functions.softmax import softmax as exact_softmax
 from ..obs.capture import get_capture
 from .ir import Graph, Node
-from .ops import CostRecord, OpImpl, Shape, get_op, infer_node_shapes
+from .ops import (CostRecord, OpImpl, Shape, _exec_conv2d, _fused_steps,
+                  get_op, infer_node_shapes)
 
 # The process-wide PWL input-histogram accumulator.  Kernels check one
 # attribute (`enabled`, False by default) per call; when off, outputs
@@ -80,8 +79,8 @@ class GraphProfile:
 
     Produced two ways — statically at compile time from inferred shapes
     (:attr:`Program.profile`) or at runtime from concrete arrays
-    (:meth:`Program.run_profiled` / ``Executor.profile``) — with
-    node-for-node identical records when the batch sizes agree.
+    (:meth:`Program.run_profiled`) — with node-for-node identical
+    records when the batch sizes agree.
     """
 
     nodes: List[NodeProfile] = field(default_factory=list)
@@ -195,7 +194,7 @@ class SoftmaxPwlKernel:
 
 
 # --------------------------------------------------------------------- #
-# Fast PWL segment lookup (fused-kernel epilogues)
+# Fast PWL segment lookup (fused-kernel steps)
 # --------------------------------------------------------------------- #
 def _segment_lookup(breakpoints: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Comparison-count equivalent of ``searchsorted(side="right")``.
@@ -235,18 +234,18 @@ def _segment_lookup(breakpoints: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _FastPwl:
-    """Fused-epilogue PWL activation: comparison-count lookup + in-place
-    MADD.  Bitwise-identical to :class:`PwlKernel` (the property suite
-    compares the fused program against the eager interpreter)."""
+    """Fused-step PWL activation: comparison-count lookup + in-place
+    MADD.  Bitwise-identical to the :class:`PwlKernel` it replaces (the
+    property suite compares the fused program against the eager
+    interpreter)."""
 
     __slots__ = ("breakpoints", "m", "q", "label")
 
-    def __init__(self, pwl: PiecewiseLinear, label: str = "") -> None:
-        m, q = pwl.coefficients()
-        self.breakpoints = pwl.breakpoints
-        self.m = m
-        self.q = q
-        self.label = label
+    def __init__(self, kernel: PwlKernel) -> None:
+        self.breakpoints = kernel.breakpoints
+        self.m = kernel.m
+        self.q = kernel.q
+        self.label = kernel.label
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -262,21 +261,18 @@ class _FastPwl:
 
 
 class _FastSoftmaxPwl:
-    """Fused-epilogue softmax: :class:`SoftmaxPwlKernel` semantics with
-    the comparison-count segment lookup."""
+    """Fused-step softmax: :class:`SoftmaxPwlKernel` semantics with the
+    comparison-count segment lookup."""
 
     __slots__ = ("breakpoints", "m", "q", "clip_lo", "axis", "label")
 
-    def __init__(self, approx: SoftmaxApproximator, axis: int) -> None:
-        pwl = approx._exp_fn
-        assert isinstance(pwl, PiecewiseLinear)
-        m, q = pwl.coefficients()
-        self.breakpoints = pwl.breakpoints
-        self.m = m
-        self.q = q
-        self.clip_lo = approx._clip_lo
-        self.axis = int(axis)
-        self.label = "softmax.exp"
+    def __init__(self, kernel: SoftmaxPwlKernel) -> None:
+        self.breakpoints = kernel.breakpoints
+        self.m = kernel.m
+        self.q = kernel.q
+        self.clip_lo = kernel.clip_lo
+        self.axis = kernel.axis
+        self.label = kernel.label
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -292,295 +288,267 @@ class _FastSoftmaxPwl:
         return e / denom
 
 
-class FusedKernel:
-    """A baked chain of step callables: one arena write for the whole
-    matmul/conv → bias → normalisation → PWL-activation run.
-
-    Each step closure takes ``(cur, inputs)`` — the previous step's
-    result plus the node's full runtime input list — with constants
-    prebound at bake time.  Step bodies are the *identical* numpy
-    expressions of the ops they absorb (PWL steps use the
-    bitwise-equivalent fast segment lookup), so fusion never changes a
-    single output bit.
-    """
-
-    __slots__ = ("steps", "label")
-
-    def __init__(self, steps: List[Callable], label: str = "") -> None:
-        self.steps = steps
-        self.label = label
-
-    def __call__(self, inputs: List[np.ndarray]) -> np.ndarray:
-        x = self.steps[0](None, inputs)
-        for fn in self.steps[1:]:
-            x = fn(x, inputs)
-        return x
-
-
-def _bake_fused_step(op_name: str, attrs: Dict, names: List[str],
-                     indices: List[int], consts: Dict[str, np.ndarray],
-                     first: bool) -> Callable:
-    """One ``(cur, inputs) -> array`` closure for a fused step.
-
-    ``names``/``indices`` describe the step's slice of the fused node's
-    input list (for the head step that includes the dynamic input(s);
-    epilogue steps receive the chain value as ``cur``).
-    """
-    have_consts = all(v in consts for v in names[1:]) if first \
-        else all(v in consts for v in names)
-    if not first and have_consts:
-        cvals = [consts[v] for v in names]
-        if op_name == "activation":
-            kern = _activation_kernel(
-                Node(op_type="activation", inputs=["x"], outputs=["y"],
-                     attrs=attrs))
-            if isinstance(kern, PwlKernel):
-                kern = _FastPwl(kern.source, label=kern.label)
-            return lambda cur, inputs: kern(cur)
-        if op_name == "softmax":
-            kern = _softmax_kernel(
-                Node(op_type="softmax", inputs=["x"], outputs=["y"],
-                     attrs=attrs))
-            if isinstance(kern, SoftmaxPwlKernel):
-                kern = _FastSoftmaxPwl(
-                    attrs["approximator"], int(attrs.get("axis", -1)))
-            return lambda cur, inputs: kern(cur)
-        if op_name == "batchnorm":
-            scale, shift = cvals
-
-            def bn(cur, inputs):
-                shape = [1] * cur.ndim
-                shape[1] = -1
-                return cur * scale.reshape(shape) + shift.reshape(shape)
-            return bn
-        if op_name == "layernorm":
-            gamma, beta = cvals
-            eps = float(attrs.get("eps", 1e-5))
-
-            def ln(cur, inputs):
-                mean = cur.mean(axis=-1, keepdims=True)
-                var = cur.var(axis=-1, keepdims=True)
-                return (cur - mean) / np.sqrt(var + eps) * gamma + beta
-            return ln
-        if op_name == "add":
-            (c,) = cvals
-            return lambda cur, inputs: cur + c
-        if op_name == "mul":
-            (c,) = cvals
-            return lambda cur, inputs: cur * c
-        if op_name == "reshape":
-            shape = attrs["shape"]
-            return lambda cur, inputs: cur.reshape(shape)
-        if op_name == "transpose":
-            perm = attrs["perm"]
-            return lambda cur, inputs: np.transpose(cur, perm)
-        if op_name == "flatten":
-            return lambda cur, inputs: cur.reshape(cur.shape[0], -1)
-    if first:
-        if op_name == "linear" and have_consts and len(names) >= 2:
-            i0 = indices[0]
-            w = consts[names[1]]
-            if len(names) > 2:
-                b = consts[names[2]]
-                return lambda cur, inputs: (inputs[i0] @ w) + b
-            return lambda cur, inputs: inputs[i0] @ w
-        if op_name == "matmul" and len(names) == 2:
-            i0, i1 = indices
-            return lambda cur, inputs: inputs[i0] @ inputs[i1]
-        if op_name == "conv2d" and have_consts:
-            from .ops import _exec_conv2d
-            i0 = indices[0]
-            weights = [consts[v] for v in names[1:]]
-            return lambda cur, inputs: _exec_conv2d(
-                [inputs[i0]] + weights, attrs)[0]
-    # Generic fallback: the registered execute with the step's inputs
-    # gathered from the fused node's runtime input list.
-    op = get_op(op_name)
-    idx = list(indices)
-
-    def generic(cur, inputs):
-        step_inputs = [inputs[j] for j in idx]
-        if cur is not None:
-            step_inputs = [cur] + step_inputs
-        return op.execute(step_inputs, attrs)[0]
-    return generic
-
-
-def _fused_kernel(node: Node, consts: Dict[str, np.ndarray]
-                  ) -> FusedKernel:
-    """Bake one fused node into a :class:`FusedKernel`."""
-    steps: List[Callable] = []
-    pos = 0
-    for i, step in enumerate(node.attrs["steps"]):
-        n = int(step["n_inputs"])
-        names = list(node.inputs[pos:pos + n])
-        indices = list(range(pos, pos + n))
-        pos += n
-        steps.append(_bake_fused_step(step["op"], step["attrs"], names,
-                                      indices, consts, first=(i == 0)))
-    return FusedKernel(steps, label=str(node.attrs.get("label", "")))
+def _fast(kernel: Callable) -> Callable:
+    """The comparison-count twin of a baked PWL kernel (else itself)."""
+    if isinstance(kernel, PwlKernel):
+        return _FastPwl(kernel)
+    if isinstance(kernel, SoftmaxPwlKernel):
+        return _FastSoftmaxPwl(kernel)
+    return kernel
 
 
 # --------------------------------------------------------------------- #
-# Kernel compilation (per-node specialisation)
+# Per-op kernel bakers: one table for single-node records and fused steps
 # --------------------------------------------------------------------- #
-def _activation_kernel(node: Node) -> Optional[Callable]:
-    impl = node.attrs.get("impl", "exact")
+Kernel = Callable[..., Any]
+Baker = Callable[[Dict[str, Any], List[np.ndarray], str], Kernel]
+
+#: op type -> ``baker(attrs, extras, name)``.  ``extras`` are the
+#: initializers bound to the node's inputs after the first; the baked
+#: kernel prebinds them and maps the first input to the op's one
+#: output.  Kernel bodies are the *identical* numpy expressions of the
+#: registered ``execute``, so baking never changes an output bit.
+_BAKERS: Dict[str, Baker] = {}
+
+#: Kernels of ops whose second input is a runtime value too (residual
+#: adds, attention matmuls): they take both inputs.
+_BINARY: Dict[str, Kernel] = {
+    "add": lambda a, b: a + b,
+    "mul": lambda a, b: a * b,
+    "matmul": lambda a, b: a @ b,
+}
+
+
+def _bakes(op_type: str) -> Callable[[Baker], Baker]:
+    def wrap(baker: Baker) -> Baker:
+        _BAKERS[op_type] = baker
+        return baker
+    return wrap
+
+
+@_bakes("activation")
+def _bake_activation(attrs, extras, name):
+    impl = attrs.get("impl", "exact")
     if impl == "exact":
-        return fn_registry.get(node.attrs["fn"])
-    if impl == "pwl":
-        approx = node.attrs.get("approximator")
-        if approx is None:
-            fail("RPR120",
-                 "pwl activation node has no approximator attached",
-                 node=node.name)
-        if isinstance(approx, PiecewiseLinear):
-            return PwlKernel.from_pwl(approx,
-                                      label=str(node.attrs.get("fn", "")))
-        return lambda x: np.asarray(approx(x), dtype=np.float64)
-    fail("RPR122", f"unknown activation impl {impl!r}", node=node.name)
+        return fn_registry.get(attrs["fn"])
+    if impl != "pwl":
+        fail("RPR122", f"unknown activation impl {impl!r}", node=name)
+    approx = attrs.get("approximator")
+    if approx is None:
+        fail("RPR120", "pwl activation node has no approximator attached",
+             node=name)
+    if isinstance(approx, PiecewiseLinear):
+        return PwlKernel.from_pwl(approx, label=str(attrs.get("fn", "")))
+    return lambda x: np.asarray(approx(x), dtype=np.float64)
 
 
-def _softmax_kernel(node: Node) -> Optional[Callable]:
-    axis = int(node.attrs.get("axis", -1))
-    impl = node.attrs.get("impl", "exact")
+@_bakes("softmax")
+def _bake_softmax(attrs, extras, name):
+    axis = int(attrs.get("axis", -1))
+    impl = attrs.get("impl", "exact")
     if impl == "exact":
         return lambda x: exact_softmax(x, axis=axis)
-    if impl == "pwl":
-        approx = node.attrs.get("approximator")
-        if approx is None:
-            fail("RPR120",
-                 "pwl softmax node has no approximator attached",
-                 node=node.name)
-        if isinstance(approx, SoftmaxApproximator) and \
-                isinstance(approx._exp_fn, PiecewiseLinear):
-            return SoftmaxPwlKernel.from_approximator(approx, axis)
-        return lambda x: np.asarray(approx(x, axis=axis), dtype=np.float64)
-    fail("RPR122", f"unknown softmax impl {impl!r}", node=node.name)
+    if impl != "pwl":
+        fail("RPR122", f"unknown softmax impl {impl!r}", node=name)
+    approx = attrs.get("approximator")
+    if approx is None:
+        fail("RPR120", "pwl softmax node has no approximator attached",
+             node=name)
+    if isinstance(approx, SoftmaxApproximator) and \
+            isinstance(approx._exp_fn, PiecewiseLinear):
+        return SoftmaxPwlKernel.from_approximator(approx, axis)
+    return lambda x: np.asarray(approx(x, axis=axis), dtype=np.float64)
 
 
-def _linear_kernel(node: Node, consts: Dict[str, np.ndarray]
-                   ) -> Optional[Callable]:
-    if any(v not in consts for v in node.inputs[1:]):
-        return None
-    w = consts[node.inputs[1]]
-    if len(node.inputs) > 2:
-        b = consts[node.inputs[2]]
+@_bakes("linear")
+def _bake_linear(attrs, extras, name):
+    w = extras[0]
+    if len(extras) > 1:
+        b = extras[1]
         return lambda x: (x @ w) + b
     return lambda x: x @ w
 
 
-def _conv2d_kernel(node: Node, consts: Dict[str, np.ndarray]
-                   ) -> Optional[Callable]:
-    if any(v not in consts for v in node.inputs[1:]):
-        return None
-    from .ops import _exec_conv2d
-    weights = [consts[v] for v in node.inputs[1:]]
-    attrs = node.attrs
-
-    def kernel(x: np.ndarray) -> np.ndarray:
-        return _exec_conv2d([x] + weights, attrs)[0]
-    return kernel
+@_bakes("conv2d")
+def _bake_conv2d(attrs, extras, name):
+    return lambda x: _exec_conv2d([x] + extras, attrs)[0]
 
 
-def _batchnorm_kernel(node: Node, consts: Dict[str, np.ndarray],
-                      in_shape: Optional[Shape]) -> Optional[Callable]:
-    if in_shape is None or any(v not in consts for v in node.inputs[1:]):
-        return None
-    shape = [1] * len(in_shape)
-    shape[1] = -1
-    scale = consts[node.inputs[1]].reshape(shape)
-    shift = consts[node.inputs[2]].reshape(shape)
-    return lambda x: x * scale + shift
+@_bakes("batchnorm")
+def _bake_batchnorm(attrs, extras, name):
+    scale, shift = extras
+
+    def batchnorm(x: np.ndarray) -> np.ndarray:
+        shape = [1] * x.ndim
+        shape[1] = -1
+        return x * scale.reshape(shape) + shift.reshape(shape)
+    return batchnorm
 
 
-def _layernorm_kernel(node: Node, consts: Dict[str, np.ndarray]
-                      ) -> Optional[Callable]:
-    if any(v not in consts for v in node.inputs[1:]):
-        return None
-    gamma = consts[node.inputs[1]]
-    beta = consts[node.inputs[2]]
-    eps = float(node.attrs.get("eps", 1e-5))
+@_bakes("layernorm")
+def _bake_layernorm(attrs, extras, name):
+    gamma, beta = extras
+    eps = float(attrs.get("eps", 1e-5))
 
-    def kernel(x: np.ndarray) -> np.ndarray:
+    def layernorm(x: np.ndarray) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         return (x - mean) / np.sqrt(var + eps) * gamma + beta
-    return kernel
+    return layernorm
 
 
-def _embedding_kernel(node: Node, consts: Dict[str, np.ndarray]
-                      ) -> Optional[Callable]:
-    if node.inputs[1] not in consts:
-        return None
-    table = consts[node.inputs[1]]
+@_bakes("add")
+def _bake_add(attrs, extras, name):
+    c = extras[0]
+    return lambda x: x + c
+
+
+@_bakes("mul")
+def _bake_mul(attrs, extras, name):
+    c = extras[0]
+    return lambda x: x * c
+
+
+@_bakes("matmul")
+def _bake_matmul(attrs, extras, name):
+    w = extras[0]
+    return lambda x: x @ w
+
+
+@_bakes("embedding")
+def _bake_embedding(attrs, extras, name):
+    table = extras[0]
     return lambda ids: table[ids.astype(np.int64)]
 
 
-def _compile_kernel(node: Node, consts: Dict[str, np.ndarray],
-                    in_shapes: Optional[List[Shape]]
-                    ) -> Tuple[Optional[Callable], Optional[Callable]]:
-    """Specialised ``(kernel1, kernel2)`` callables for one node.
+@_bakes("reshape")
+def _bake_reshape(attrs, extras, name):
+    shape = attrs["shape"]
+    return lambda x: x.reshape(shape)
 
-    ``kernel1`` takes the node's first input and returns its single
-    output (weights / attributes prebound); ``kernel2`` does the same
-    for two dynamic inputs.  ``(None, None)`` means the node runs
-    through the generic ``execute(inputs, attrs)`` path.
+
+@_bakes("transpose")
+def _bake_transpose(attrs, extras, name):
+    perm = attrs["perm"]
+    return lambda x: np.transpose(x, perm)
+
+
+@_bakes("flatten")
+def _bake_flatten(attrs, extras, name):
+    return lambda x: x.reshape(x.shape[0], -1)
+
+
+def _checked(outs: Sequence[np.ndarray], n_out: int, name: str,
+             graph: str) -> Sequence[np.ndarray]:
+    """``execute``'s outputs, or RPR204 if their count is not declared."""
+    if len(outs) != n_out:
+        fail("RPR204",
+             f"node {name} produced {len(outs)} outputs, declared {n_out}",
+             node=name, graph=graph)
+    return outs
+
+
+def _generic_kernel(op: OpImpl, attrs: Dict[str, Any], n_out: int,
+                    name: str, graph: str) -> Kernel:
+    """The registered ``execute`` over every input, arity-checked; one
+    output, or the list of them for a multi-output node."""
+    def kernel(*inputs: np.ndarray) -> Any:
+        outs = _checked(op.execute(list(inputs), attrs), n_out, name, graph)
+        return outs[0] if n_out == 1 else outs
+    return kernel
+
+
+def _bake(op_type: str, attrs: Dict[str, Any],
+          consts: List[Optional[np.ndarray]], name: str, n_out: int = 1,
+          graph: str = "") -> Tuple[Kernel, Tuple[int, ...]]:
+    """One op's kernel plus the input positions it reads at runtime.
+
+    ``consts`` lists, per input, its initializer (None for a runtime
+    value).  A baked kernel reads the first input and prebinds the
+    rest; the binary ops also have a two-runtime-input form; anything
+    else — ops without a baker, multi-output nodes, runtime weights —
+    gets the generic kernel over every input.
     """
-    op = node.op_type
-    attrs = node.attrs
-    first_shape = in_shapes[0] if in_shapes else None
-    if op == "activation":
-        return _activation_kernel(node), None
-    if op == "softmax":
-        return _softmax_kernel(node), None
-    if op == "linear":
-        return _linear_kernel(node, consts), None
-    if op == "conv2d":
-        return _conv2d_kernel(node, consts), None
-    if op == "batchnorm":
-        return _batchnorm_kernel(node, consts, first_shape), None
-    if op == "layernorm":
-        return _layernorm_kernel(node, consts), None
-    if op == "embedding":
-        return _embedding_kernel(node, consts), None
-    if op in ("add", "mul"):
-        second = consts.get(node.inputs[1])
-        if second is not None:
-            if op == "add":
-                return (lambda x: x + second), None
-            return (lambda x: x * second), None
-        if op == "add":
-            return None, (lambda a, b: a + b)
-        return None, (lambda a, b: a * b)
-    if op == "matmul":
-        return None, (lambda a, b: a @ b)
-    if op == "reshape":
-        shape = attrs["shape"]
-        return (lambda x: x.reshape(shape)), None
-    if op == "transpose":
-        perm = attrs["perm"]
-        return (lambda x: np.transpose(x, perm)), None
-    if op == "flatten":
-        return (lambda x: x.reshape(x.shape[0], -1)), None
-    return None, None
+    if op_type == "fused":
+        return _fused_kernel(attrs, consts, name, graph)
+    baker = _BAKERS.get(op_type)
+    if n_out == 1 and consts:
+        if baker is not None and all(c is not None for c in consts[1:]):
+            return baker(attrs, list(consts[1:]), name), (0,)
+        if len(consts) == 2 and op_type in _BINARY:
+            return _BINARY[op_type], (0, 1)
+    return (_generic_kernel(get_op(op_type), attrs, n_out, name, graph),
+            tuple(range(len(consts))))
+
+
+class FusedKernel:
+    """A baked chain: one arena write for the whole matmul/conv → bias →
+    normalisation → PWL-activation run.
+
+    ``head`` is the first op's kernel over the fused record's runtime
+    inputs; each ``epilogue`` kernel maps the chain value onward with
+    its constants prebound.  Both come from the same per-op bakers as
+    single-node records (PWL steps swap in the bitwise-equivalent fast
+    segment lookup), so fusion never changes a single output bit.
+    """
+
+    __slots__ = ("head", "epilogue", "label")
+
+    def __init__(self, head: Kernel, epilogue: List[Kernel],
+                 label: str = "") -> None:
+        self.head = head
+        self.epilogue = epilogue
+        self.label = label
+
+    def __call__(self, *inputs: np.ndarray) -> np.ndarray:
+        x = self.head(*inputs)
+        for fn in self.epilogue:
+            x = fn(x)
+        return x
+
+
+def _fused_kernel(attrs: Dict[str, Any], consts: List[Optional[np.ndarray]],
+                  name: str, graph: str) -> Tuple[Kernel, Tuple[int, ...]]:
+    """Bake a fused node step by step (the generic kernel replays the
+    registered steps if an epilogue step needs a runtime input)."""
+    steps = _fused_steps(attrs)
+    n_head = int(steps[0]["n_inputs"])
+    head, positions = _bake(steps[0]["op"], steps[0]["attrs"],
+                            consts[:n_head], name)
+    epilogue: List[Kernel] = []
+    pos = n_head
+    for step in steps[1:]:
+        n = int(step["n_inputs"])
+        kernel, taken = _bake(step["op"], step["attrs"],
+                              [None] + consts[pos:pos + n], name)
+        pos += n
+        if taken != (0,):
+            return (_generic_kernel(get_op("fused"), attrs, 1, name, graph),
+                    tuple(range(len(consts))))
+        epilogue.append(_fast(kernel))
+    return (FusedKernel(_fast(head), epilogue, str(attrs.get("label", ""))),
+            positions)
 
 
 # --------------------------------------------------------------------- #
 # Compiled nodes and the program
 # --------------------------------------------------------------------- #
 class CompiledNode:
-    """One scheduled step: resolved impl + arena slots + baked kernel."""
+    """One scheduled record: resolved op, arena slots and baked kernel.
+
+    ``kernel`` maps the record's runtime inputs (read from the arena
+    slots ``args``) to its output; ``step(values)`` applies it to the
+    arena, with the arity specialised at compile time.  ``step`` reads
+    ``kernel`` per call, so a swapped-in kernel takes effect.
+    """
 
     __slots__ = ("name", "op_type", "node", "op", "attrs", "in_slots",
-                 "out_slots", "n_out", "frees", "kernel1", "kernel2",
-                 "kernel_n")
+                 "out_slots", "frees", "kernel", "args", "step")
 
     def __init__(self, node: Node, op: OpImpl,
                  in_slots: Tuple[int, ...], out_slots: Tuple[int, ...],
-                 kernel1: Optional[Callable],
-                 kernel2: Optional[Callable],
-                 kernel_n: Optional[Callable] = None) -> None:
+                 frees: Tuple[int, ...], kernel: Kernel,
+                 args: Tuple[int, ...]) -> None:
         self.name = node.name
         self.op_type = node.op_type
         self.node = node
@@ -588,12 +556,34 @@ class CompiledNode:
         self.attrs = node.attrs
         self.in_slots = in_slots
         self.out_slots = out_slots
-        self.n_out = len(out_slots)
-        self.frees: Tuple[int, ...] = ()
-        self.kernel1 = kernel1
-        self.kernel2 = kernel2
-        #: Multi-input fused kernel: takes the gathered input list.
-        self.kernel_n = kernel_n
+        self.frees = frees
+        self.kernel = kernel
+        self.args = args
+        self.step = self._bind()
+
+    def _bind(self) -> Callable[[List[Any]], None]:
+        args, out_slots = self.args, self.out_slots
+        if len(out_slots) != 1:
+            def step(values: List[Any]) -> None:
+                outs = self.kernel(*[values[s] for s in args])
+                for slot, arr in zip(out_slots, outs):
+                    values[slot] = arr
+            return step
+        (out,) = out_slots
+        if len(args) == 1:
+            (arg,) = args
+
+            def step(values: List[Any]) -> None:
+                values[out] = self.kernel(values[arg])
+            return step
+
+        def step(values: List[Any]) -> None:
+            values[out] = self.kernel(*[values[s] for s in args])
+        return step
+
+
+#: Per-record hook of :meth:`Program._execute`: runs the record itself.
+Hook = Callable[[CompiledNode, List[Any]], None]
 
 
 class Program:
@@ -613,9 +603,7 @@ class Program:
                  static_profile: Optional[GraphProfile],
                  static_error: Optional[GraphError],
                  slot_map: Optional[Dict[str, int]] = None,
-                 pass_reports: Optional[List] = None,
-                 stage_ranges: Optional[List[Tuple[int, int]]] = None,
-                 workers: int = 1) -> None:
+                 pass_reports: Optional[List] = None) -> None:
         self.graph = graph
         self.batch_size = batch_size
         self.nodes = nodes
@@ -632,11 +620,6 @@ class Program:
         #: Per-pass static-profile deltas from the optimizing pipeline
         #: (empty when compiled with ``optimize=False``).
         self.pass_reports: List = list(pass_reports or [])
-        #: Region-scheduler stages as contiguous ``[start, end)`` index
-        #: ranges over ``nodes`` (None without the scheduling pass).
-        self._stage_ranges = stage_ranges
-        #: Worker-thread count for the staged run path (1 = sequential).
-        self._workers = max(1, int(workers))
         #: Non-fatal verifier findings collected at compile time
         #: (errors raise instead; see ``compile_graph``).
         self.diagnostics: List[Diagnostic] = []
@@ -704,132 +687,74 @@ class Program:
             values[slot] = arr
         return values
 
-    def run(self, feeds: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Execute the plan; returns the graph outputs by name."""
+    def _execute(self, feeds: Dict[str, np.ndarray],
+                 hook: Optional[Hook] = None) -> Dict[str, np.ndarray]:
+        """The run loop: each record's ``step`` — or ``hook(cn, values)``
+        in its place — then the slot frees its last uses allow."""
         values = self._load_feeds(feeds)
-        if self._workers > 1 and self._stage_ranges:
-            self._run_staged(values)
-            return {name: values[slot] for name, slot in self._output_plan}
         for cn in self.nodes:
-            if cn.kernel1 is not None:
-                values[cn.out_slots[0]] = cn.kernel1(values[cn.in_slots[0]])
-            elif cn.kernel2 is not None:
-                values[cn.out_slots[0]] = cn.kernel2(values[cn.in_slots[0]],
-                                                     values[cn.in_slots[1]])
-            elif cn.kernel_n is not None:
-                values[cn.out_slots[0]] = \
-                    cn.kernel_n([values[s] for s in cn.in_slots])
+            if hook is None:
+                cn.step(values)
             else:
-                outs = cn.op.execute([values[s] for s in cn.in_slots],
-                                     cn.attrs)
-                if len(outs) != cn.n_out:
-                    fail("RPR204",
-                         f"node {cn.name} produced {len(outs)} outputs, "
-                         f"declared {cn.n_out}",
-                         node=cn.name, graph=self.graph.name)
-                for slot, arr in zip(cn.out_slots, outs):
-                    values[slot] = arr
+                hook(cn, values)
             for slot in cn.frees:
                 values[slot] = None
         return {name: values[slot] for name, slot in self._output_plan}
 
-    def _exec_node(self, cn: CompiledNode,
-                   values: List[Optional[np.ndarray]]) -> None:
-        """One record of the staged path (frees happen at the barrier)."""
-        if cn.kernel1 is not None:
-            values[cn.out_slots[0]] = cn.kernel1(values[cn.in_slots[0]])
-        elif cn.kernel2 is not None:
-            values[cn.out_slots[0]] = cn.kernel2(values[cn.in_slots[0]],
-                                                 values[cn.in_slots[1]])
-        elif cn.kernel_n is not None:
-            values[cn.out_slots[0]] = \
-                cn.kernel_n([values[s] for s in cn.in_slots])
-        else:
-            outs = cn.op.execute([values[s] for s in cn.in_slots], cn.attrs)
-            if len(outs) != cn.n_out:
-                fail("RPR204",
-                     f"node {cn.name} produced {len(outs)} outputs, "
-                     f"declared {cn.n_out}",
-                     node=cn.name, graph=self.graph.name)
-            for slot, arr in zip(cn.out_slots, outs):
-                values[slot] = arr
+    def run(self, feeds: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """Execute the plan; returns the graph outputs by name."""
+        return self._execute(feeds)
 
-    def _run_staged(self, values: List[Optional[np.ndarray]]) -> None:
-        """Execute stage by stage on the shared worker pool.
+    def check_request(self, feeds: Dict[str, np.ndarray],
+                      index: Optional[int] = None) -> int:
+        """Validate one request for stacking; returns its sample count.
 
-        Records within one stage are data-independent and the staged
-        arena plan gives them disjoint slots (frees deferred to the
-        stage barrier), so concurrent execution is race-free and the
-        outputs are bitwise-identical to the sequential walk — each
-        record writes only its own slots, in whatever order the workers
-        finish.
+        Raises RPR201 for a missing input, RPR202 when trailing dims
+        differ from the plan (the stack would be ragged) and RPR203
+        when the request's inputs disagree on their sample count (the
+        stacked outputs could not be attributed back to it).
+        ``index`` names the request's place in a batch in messages.
         """
-        pool = _shared_pool(self._workers)
-        nodes = self.nodes
-        for start, end in self._stage_ranges:
-            if end - start == 1:
-                self._exec_node(nodes[start], values)
-            else:
-                futures = [pool.submit(self._exec_node, cn, values)
-                           for cn in nodes[start:end]]
-                for future in futures:
-                    future.result()
-            for cn in nodes[start:end]:
-                for slot in cn.frees:
-                    values[slot] = None
+        where = "request" if index is None else f"request {index}"
+        n_samples: Optional[int] = None
+        for name, _, shape in self._input_plan:
+            if name not in feeds:
+                fail("RPR201", f"{where}: missing graph input {name!r}",
+                     graph=self.graph.name)
+            arr = np.asarray(feeds[name])
+            if shape and tuple(arr.shape[1:]) != tuple(shape[1:]):
+                fail("RPR202",
+                     f"{where}: input {name!r} shape {arr.shape} "
+                     f"incompatible with per-sample shape "
+                     f"{tuple(shape[1:])}",
+                     graph=self.graph.name)
+            n = arr.shape[0] if arr.ndim else 0
+            if n_samples is None:
+                n_samples = n
+            elif n != n_samples:
+                fail("RPR203",
+                     f"batch-dim mismatch within {where}: input {name!r} "
+                     f"carries {n} samples, earlier inputs {n_samples}",
+                     graph=self.graph.name)
+        return n_samples or 0
 
     def run_many(self, feeds_seq: Sequence[Dict[str, np.ndarray]]
                  ) -> List[Dict[str, np.ndarray]]:
         """Fuse per-sample feeds into one stacked pass and split back.
 
         Each element of ``feeds_seq`` is a normal ``run`` feed dict
-        (leading batch dimension included); the inputs are concatenated
-        along the batch axis, executed once, and the outputs are split
-        back into one dict per caller.
+        (leading batch dimension included) that passes
+        :meth:`check_request`; the inputs are concatenated along the
+        batch axis, executed once, and the outputs are split back into
+        one dict per caller.
         """
-        if not feeds_seq:
-            return []
-        if len(feeds_seq) == 1:
-            return [self.run(feeds_seq[0])]
-        # The shape plan is hoisted out of the per-sample loop: one
-        # (name, trailing-dims) pair per graph input, computed once —
-        # the loop below only compares against it.  Validate per
-        # request: every input of one request must carry the same
-        # sample count, or the stacked outputs could not be attributed
-        # back to their requests; trailing dims must match the plan, or
-        # the stack itself would be ragged.
-        shape_plan: List[Tuple[str, Optional[Tuple[int, ...]]]] = \
-            [(name, tuple(shape[1:]) if shape else None)
-             for name, _, shape in self._input_plan]
-        counts: List[int] = []
-        arrays: Dict[str, List[np.ndarray]] = \
-            {name: [] for name, _ in shape_plan}
-        for i, feeds in enumerate(feeds_seq):
-            n_samples: Optional[int] = None
-            for name, trail in shape_plan:
-                if name not in feeds:
-                    fail("RPR201",
-                         f"request {i}: missing graph input {name!r}",
-                         graph=self.graph.name)
-                arr = np.asarray(feeds[name])
-                if trail is not None and tuple(arr.shape[1:]) != trail:
-                    fail("RPR202",
-                         f"request {i}: input {name!r} shape {arr.shape} "
-                         f"incompatible with per-sample shape {trail}",
-                         graph=self.graph.name)
-                n = arr.shape[0] if arr.ndim else 0
-                if n_samples is None:
-                    n_samples = n
-                elif n != n_samples:
-                    fail("RPR203",
-                         f"batch-dim mismatch within request {i}: input "
-                         f"{name!r} carries {n} samples, earlier inputs "
-                         f"{n_samples}",
-                         graph=self.graph.name)
-                arrays[name].append(arr)
-            counts.append(n_samples or 0)
-        stacked = {name: np.concatenate(parts, axis=0)
-                   for name, parts in arrays.items()}
+        counts = [self.check_request(feeds, i)
+                  for i, feeds in enumerate(feeds_seq)]
+        if len(feeds_seq) <= 1:
+            return [self.run(feeds) for feeds in feeds_seq]
+        stacked = {name: np.concatenate([np.asarray(feeds[name])
+                                         for feeds in feeds_seq], axis=0)
+                   for name, _, _ in self._input_plan}
         bounds = np.cumsum(counts)[:-1]
         out = self.run(stacked)
         split = {name: np.split(arr, bounds, axis=0)
@@ -841,20 +766,19 @@ class Program:
                      ) -> Tuple[Dict[str, np.ndarray], GraphProfile]:
         """Execute and cost every node from *runtime* shapes.
 
-        The generic (unspecialised) path runs for every node so the
-        cost model sees the full input list, exactly like the eager
-        profiler; use :attr:`profile` for the zero-execution variant.
+        Every record runs through its registered ``execute`` (not its
+        baked kernel) over the full input list, exactly like the eager
+        interpreter; use :attr:`profile` for the zero-execution variant.
         """
-        values = self._load_feeds(feeds)
         prof = GraphProfile()
-        for cn in self.nodes:
+        graph = self.graph.name
+
+        def profiled(cn: CompiledNode, values: List[Any]) -> None:
+            # Gather the inputs first: an output may take over the slot
+            # of an input that dies at this record.
             inputs = [values[s] for s in cn.in_slots]
-            outs = cn.op.execute(inputs, cn.attrs)
-            if len(outs) != cn.n_out:
-                fail("RPR204",
-                     f"node {cn.name} produced {len(outs)} outputs, "
-                     f"declared {cn.n_out}",
-                     node=cn.name, graph=self.graph.name)
+            outs = _checked(cn.op.execute(inputs, cn.attrs),
+                            len(cn.out_slots), cn.name, graph)
             for slot, arr in zip(cn.out_slots, outs):
                 values[slot] = arr
             cost = cn.op.cost([tuple(np.shape(v)) for v in inputs],
@@ -862,10 +786,8 @@ class Program:
                               cn.attrs)
             prof.nodes.append(NodeProfile(name=cn.name, op_type=cn.op_type,
                                           cost=cost))
-            for slot in cn.frees:
-                values[slot] = None
-        outputs = {name: values[slot] for name, slot in self._output_plan}
-        return outputs, prof
+
+        return self._execute(feeds, profiled), prof
 
     def run_timed(self, feeds: Dict[str, np.ndarray], repeats: int = 1
                   ) -> Tuple[Dict[str, np.ndarray], "ExecutionProfile"]:
@@ -886,35 +808,17 @@ class Program:
                    for cn in self.nodes]
         outputs: Dict[str, np.ndarray] = {}
         for _ in range(max(1, int(repeats))):
-            values = self._load_feeds(feeds)
-            for cn, timing in zip(self.nodes, timings):
+            spent: List[float] = []
+
+            def timed(cn: CompiledNode, values: List[Any]) -> None:
                 t0 = tick()
-                if cn.kernel1 is not None:
-                    values[cn.out_slots[0]] = \
-                        cn.kernel1(values[cn.in_slots[0]])
-                elif cn.kernel2 is not None:
-                    values[cn.out_slots[0]] = \
-                        cn.kernel2(values[cn.in_slots[0]],
-                                   values[cn.in_slots[1]])
-                elif cn.kernel_n is not None:
-                    values[cn.out_slots[0]] = \
-                        cn.kernel_n([values[s] for s in cn.in_slots])
-                else:
-                    outs = cn.op.execute([values[s] for s in cn.in_slots],
-                                         cn.attrs)
-                    if len(outs) != cn.n_out:
-                        fail("RPR204",
-                             f"node {cn.name} produced {len(outs)} outputs, "
-                             f"declared {cn.n_out}",
-                             node=cn.name, graph=self.graph.name)
-                    for slot, arr in zip(cn.out_slots, outs):
-                        values[slot] = arr
-                timing.total_s += tick() - t0
+                cn.step(values)
+                spent.append(tick() - t0)
+
+            outputs = self._execute(feeds, timed)
+            for timing, seconds in zip(timings, spent):
+                timing.total_s += seconds
                 timing.calls += 1
-                for slot in cn.frees:
-                    values[slot] = None
-            outputs = {name: values[slot]
-                       for name, slot in self._output_plan}
         return outputs, ExecutionProfile(nodes=timings)
 
 
@@ -959,39 +863,9 @@ def _static_profile(order: List[Node],
     return prof
 
 
-def _default_workers() -> int:
-    """Worker-thread count from ``REPRO_EXEC_WORKERS`` (default 1)."""
-    raw = os.environ.get("REPRO_EXEC_WORKERS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-#: One process-wide pool shared by every staged program (grown on
-#: demand, never shrunk): region stages from different programs queue
-#: onto the same workers instead of each program spawning its own.
-_POOL_LOCK = threading.Lock()
-_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_SIZE = 0
-
-
-def _shared_pool(workers: int) -> ThreadPoolExecutor:
-    global _POOL, _POOL_SIZE
-    with _POOL_LOCK:
-        if _POOL is None or _POOL_SIZE < workers:
-            _POOL = ThreadPoolExecutor(max_workers=workers,
-                                       thread_name_prefix="repro-exec")
-            _POOL_SIZE = workers
-        return _POOL
-
-
 def compile_graph(graph: Graph, batch_size: int = 1,
                   verify: bool = True, optimize: bool = False,
-                  passes: Optional[Sequence[str]] = None,
-                  workers: Optional[int] = None) -> Program:
+                  passes: Optional[Sequence[str]] = None) -> Program:
     """Compile ``graph`` into a :class:`Program` (see module docstring).
 
     ``batch_size`` only parameterises the *static* shapes and cost
@@ -1008,15 +882,13 @@ def compile_graph(graph: Graph, batch_size: int = 1,
 
     ``optimize=True`` runs the :mod:`repro.graph.opt` pass pipeline
     between scheduling and kernel baking — constant folding, dead-node
-    elimination, kernel fusion and region scheduling by default;
-    ``passes`` selects/orders a subset by name.  Every pass preserves
-    bitwise output equality with the eager interpreter; per-pass static
-    cost deltas land on :attr:`Program.pass_reports`.  Optimization is
-    skipped (reported via ``pass_reports`` staying empty) when static
-    shape inference fails — the passes key their safety analysis off
-    the static shapes.  ``workers`` (default: ``REPRO_EXEC_WORKERS``,
-    else 1) enables the staged parallel run path when the region
-    scheduler produced stages.
+    elimination, kernel fusion and the dependence-level reorder by
+    default; ``passes`` selects/orders a subset by name.  Every pass
+    preserves bitwise output equality with the eager interpreter;
+    per-pass static cost deltas land on :attr:`Program.pass_reports`.
+    Optimization is skipped (reported via ``pass_reports`` staying
+    empty) when static shape inference fails — the passes key their
+    safety analysis off the static shapes.
     """
     if batch_size < 1:
         fail("RPR207", f"batch_size must be >= 1, got {batch_size}",
@@ -1061,7 +933,6 @@ def compile_graph(graph: Graph, batch_size: int = 1,
     # after graph-scope verification/scheduling and before the arena
     # and kernel baking below consume the (possibly rewritten) order.
     pass_reports: List = []
-    stage_ranges: Optional[List[Tuple[int, int]]] = None
     if (optimize or passes is not None) and shapes is not None:
         from .opt import Plan, build_pipeline
 
@@ -1072,9 +943,6 @@ def compile_graph(graph: Graph, batch_size: int = 1,
         graph = plan.graph
         order = plan.order
         shapes = plan.shapes
-        if plan.stages:
-            stage_ranges = [(stage[0], stage[-1] + 1)
-                            for stage in plan.stages if stage]
         try:
             profile = (_static_profile(order, shapes)
                        if shapes is not None else None)
@@ -1090,17 +958,6 @@ def compile_graph(graph: Graph, batch_size: int = 1,
         for value in node.inputs:
             last_use[value] = i
     persistent = set(graph.initializers) | set(graph.outputs)
-
-    # Stage-aware liveness: with a region schedule, frees defer to the
-    # stage barrier (the stage's last record) and never feed the free
-    # list mid-stage, so concurrently executing records within one
-    # stage touch disjoint slots — no write-is-the-free aliasing across
-    # parallel lanes.
-    stage_end: Dict[int, int] = {}
-    if stage_ranges:
-        for start, end in stage_ranges:
-            for i in range(start, end):
-                stage_end[i] = end - 1
 
     # Arena assignment with slot reuse.
     slots: Dict[str, int] = {}
@@ -1127,60 +984,31 @@ def compile_graph(graph: Graph, batch_size: int = 1,
 
     consts = graph.initializers
     compiled: List[CompiledNode] = []
-    pending_frees: List[int] = []
     for i, node in enumerate(order):
-        op = get_op(node.op_type)
         in_slots = tuple(slots[v] for v in node.inputs)
-        in_shapes = ([shapes[v] for v in node.inputs]
-                     if shapes is not None else None)
-        staged = i in stage_end
         # Free dead inputs *before* allocating outputs so an output may
         # reuse the slot of an input dying at this very node — but only
         # via the free list, never aliasing a slot this node still reads.
-        # In staged mode the slots stay pending until the barrier.
         dead = [v for v in set(node.inputs)
                 if last_use.get(v) == i and v not in persistent
                 and v not in node.outputs]
-        if not staged:
-            for v in dead:
-                free_slots.append(slots[v])
+        free_slots.extend(slots[v] for v in dead)
         out_slots = tuple(alloc(v) for v in node.outputs)
-        # Specialised kernels assume single-output nodes (and two live
-        # inputs for kernel2); anything else runs the generic path,
-        # which arity-checks what execute() actually returned.
-        kernel_n = None
-        if node.op_type == "fused":
-            kernel1, kernel2 = None, None
-            kernel_n = _fused_kernel(node, consts)
-        elif len(node.outputs) == 1:
-            kernel1, kernel2 = _compile_kernel(node, consts, in_shapes)
-        else:
-            kernel1, kernel2 = None, None
-        if kernel2 is not None and len(node.inputs) != 2:
-            kernel1, kernel2 = None, None
-        cn = CompiledNode(node, op, in_slots, out_slots, kernel1, kernel2,
-                          kernel_n)
-        compiled.append(cn)
-        if staged:
-            pending_frees.extend(slots[v] for v in dead)
-            for v in node.outputs:
-                if v not in last_use and v not in persistent:
-                    pending_frees.append(slots[v])
-            if stage_end[i] == i:
-                cn.frees = tuple(dict.fromkeys(pending_frees))
-                free_slots.extend(cn.frees)
-                pending_frees = []
-        else:
-            # A dead input whose slot was just handed to an output of
-            # this node is aliased, not dead — the write IS the free.
-            cn.frees = tuple(slots[v] for v in dead
-                             if slots[v] not in set(out_slots))
-            # Outputs nobody consumes (and which are not graph outputs)
-            # die immediately.
-            for v in node.outputs:
-                if v not in last_use and v not in persistent:
-                    free_slots.append(slots[v])
-                    cn.frees += (slots[v],)
+        # A dead input whose slot was just handed to an output of this
+        # node is aliased, not dead — the write IS the free.
+        frees = [slots[v] for v in dead if slots[v] not in out_slots]
+        # Outputs nobody consumes (and which are not graph outputs) die
+        # immediately.
+        for v in node.outputs:
+            if v not in last_use and v not in persistent:
+                free_slots.append(slots[v])
+                frees.append(slots[v])
+        kernel, positions = _bake(node.op_type, node.attrs,
+                                  [consts.get(v) for v in node.inputs],
+                                  node.name, len(node.outputs), graph.name)
+        compiled.append(CompiledNode(
+            node, get_op(node.op_type), in_slots, out_slots, tuple(frees),
+            kernel, tuple(in_slots[p] for p in positions)))
 
     template: List[Optional[np.ndarray]] = [None] * n_slots
     for name, arr in graph.initializers.items():
@@ -1192,10 +1020,7 @@ def compile_graph(graph: Graph, batch_size: int = 1,
                       input_plan=input_plan, output_plan=output_plan,
                       shapes=shapes, static_profile=profile,
                       static_error=static_error, slot_map=slots,
-                      pass_reports=pass_reports,
-                      stage_ranges=stage_ranges,
-                      workers=(workers if workers is not None
-                               else _default_workers()))
+                      pass_reports=pass_reports)
     if verify:
         from ..analysis.context import AnalysisContext
         from ..analysis.verify import raise_on_errors, run_checks

@@ -9,6 +9,11 @@ that collects requests for up to ``batch_ms`` milliseconds (or until
 ``batch_cap`` requests are waiting), fuses them through ``run_many``,
 and splits the outputs back to the blocked HTTP handler threads.
 
+Admission is per request: a request whose feeds could not be stacked
+(a missing input, wrong trailing dims, inputs disagreeing on their
+sample count) is refused with a **400** carrying its ``RPR20x`` code
+before it can join — and fail — a fused batch.
+
 Backpressure is explicit: a full queue answers **429** with a
 ``Retry-After`` of one batch window, so synchronized clients back off
 (jittered by their :class:`~repro.service.retry.RetryPolicy`) instead
@@ -26,6 +31,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from ..analysis.diagnostics import DiagnosticError
 from ..errors import ServiceError
 from ..graph.program import Program
 from ..obs import clock
@@ -101,10 +107,13 @@ class ModelRunner:
 
     # ------------------------------------------------------------------ #
     def submit(self, feeds: Dict[str, np.ndarray]) -> _Pending:
-        """Park one request; raises ``queue.Full`` (→ 429 upstream)
-        on backpressure, ``ServiceError`` after shutdown."""
+        """Park one request; raises a coded ``DiagnosticError``
+        (RPR201-203, → 400 upstream) for feeds the stacked pass could
+        not take, ``queue.Full`` (→ 429 upstream) on backpressure,
+        ``ServiceError`` after shutdown."""
         if self._stop.is_set():
             raise ServiceError(f"model {self.model!r} is shutting down")
+        self.program.check_request(feeds)
         pending = _Pending(feeds, clock.mono())
         self.queue.put_nowait(pending)
         return pending
@@ -240,6 +249,8 @@ class InferApp(ServingApp):
             return 400, error_doc("bad-request", str(exc)), None
         try:
             pending = runner.submit(feeds)
+        except DiagnosticError as exc:
+            return 400, error_doc(exc.code, str(exc)), None
         except queue_mod.Full:
             get_metrics().counter("serving.infer.rejected",
                                   model=runner.model).inc()

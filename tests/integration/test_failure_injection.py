@@ -13,7 +13,7 @@ from repro.core.pwl import PiecewiseLinear
 from repro.errors import FitError, GraphError, HardwareError
 from repro.functions import TANH, make_custom
 from repro.graph.builder import GraphBuilder
-from repro.graph.executor import Executor
+from repro.graph.program import compile_graph
 from repro.hw import FP16_T, FP32_T, FlexSfuUnit
 
 
@@ -95,7 +95,7 @@ class TestGraphMisuse:
         g.add_node(Node("linear", ["x", "w_missing"], ["y"]))
         g.outputs.append("y")
         with pytest.raises(GraphError):
-            Executor(g)
+            compile_graph(g)
 
     def test_pwl_single_value_tables_roundtrip(self):
         # Degenerate but legal: 2 breakpoints, flat function.

@@ -7,8 +7,8 @@ performance-model pipeline from profile to speedup.
 import numpy as np
 import pytest
 
-from repro.graph.executor import Executor
 from repro.graph.passes import make_pwl_approximators
+from repro.graph.program import compile_graph
 from repro.perf.accelerator import AcceleratorConfig
 from repro.perf.costs import model_speedup
 from repro.zoo.builders import BUILDERS
@@ -91,7 +91,7 @@ class TestPerformancePipeline:
 
         prof = _profile("vgg", 1.0)
         graph = BUILDERS["vgg"](act="relu", scale=1.0, seed=7)
-        _, live = Executor(graph).profile(
+        _, live = compile_graph(graph).run_profiled(
             {"x": np.zeros((1, 3, 16, 16))})
         assert live.total_macs == prof.total_macs
         assert live.total_act_elements == prof.total_act_elements

@@ -2,8 +2,9 @@
 
 Every pass — and every *combination* of passes, since passes interact
 through the shared plan — must keep the compiled program bitwise-equal
-to the eager interpreter on the original graph and keep the static
-profile equal to the runtime-derived one record for record.  Each zoo
+to the eager interpreter on the original graph, through ``run``,
+``run_profiled`` and ``run_timed`` alike, and keep the static profile
+equal to the runtime-derived one record for record.  Each zoo
 builder therefore runs through the full powerset of the default pass
 list (16 subsets), with the PWL activation rewrite applied first so
 fused activation epilogues take the fast-lookup path.
@@ -82,16 +83,24 @@ def test_every_pass_subset_is_bitwise_and_profile_exact(builder, act):
         for s, r in zip(static.nodes, runtime.nodes):
             assert s == r, \
                 f"{builder} {subset}: record {s.name} cost diverged"
+        out3, timed = prog.run_timed(feeds)
+        for name in graph.outputs:
+            assert np.array_equal(out3[name], env[name]), \
+                f"{builder} {subset}: timed run diverged at {name}"
+        assert [(t.name, t.op_type) for t in timed.nodes] == \
+            [(s.name, s.op_type) for s in static.nodes]
+        assert all(t.calls == 1 for t in timed.nodes)
 
 
 @pytest.mark.parametrize("builder,act", _CASES)
-def test_staged_parallel_run_is_bitwise(builder, act):
+def test_default_pipeline_on_exact_activations_is_bitwise(builder, act):
+    # The same oracle without the PWL rewrite: exact activation and
+    # softmax kernels ride in the fused records instead.
     graph = BUILDERS[builder](act=act, scale=0.25, seed=0)
     rng = np.random.default_rng(2)
     feeds = _feeds(graph, 2, rng)
     env = interpret(graph, feeds)
-    prog = compile_graph(graph, batch_size=2, optimize=True, workers=2)
-    out = prog.run(feeds)
+    out = compile_graph(graph, batch_size=2, optimize=True).run(feeds)
     for name in graph.outputs:
         assert np.array_equal(out[name], env[name]), \
-            f"{builder}: staged parallel run diverged at {name}"
+            f"{builder}: optimized exact-activation run diverged at {name}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.executor import Executor
+from repro.graph.program import compile_graph
 
 
 class TestNaming:
@@ -27,9 +27,9 @@ class TestLayers:
         x = g.input("x", (0, 2, 8, 8))
         out = build(g, x)
         g.graph.outputs = [out]
-        ex = Executor(g.graph)
+        prog = compile_graph(g.graph)
         data = np.random.default_rng(0).normal(size=(3, 2, 8, 8))
-        return ex.run({"x": data})[out]
+        return prog.run({"x": data})[out]
 
     def test_conv_defaults_same_padding(self):
         out = self._run(lambda g, x: g.conv2d(x, 2, 5))
@@ -90,7 +90,7 @@ class TestLayers:
         e = g.embedding(ids, vocab=11, dim=7)
         pooled = g.mean_pool_seq(e)
         g.graph.outputs = [pooled]
-        out = Executor(g.graph).run(
+        out = compile_graph(g.graph).run(
             {"ids": np.array([[0, 1, 2, 3, 10]])})[pooled]
         assert out.shape == (1, 7)
 

@@ -68,10 +68,10 @@ class TestClone:
         assert "tag" not in g.nodes[0].attrs
 
     def test_clone_preserves_behaviourally(self):
-        from repro.graph.executor import Executor
+        from repro.graph.program import compile_graph
 
         g = _diamond_graph()
         x = np.arange(8.0).reshape(2, 4)
-        y1 = Executor(g).run({"x": x})["y"]
-        y2 = Executor(g.clone()).run({"x": x})["y"]
+        y1 = compile_graph(g).run({"x": x})["y"]
+        y2 = compile_graph(g.clone()).run({"x": x})["y"]
         assert np.array_equal(y1, y2)

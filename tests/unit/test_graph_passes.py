@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.functions import GELU, HARDSIGMOID, RELU, RELU6, LEAKY_RELU
-from repro.graph.executor import Executor
+from repro.graph.program import compile_graph
 from repro.graph.passes import (
     clear_fit_cache,
     collect_activation_names,
@@ -65,9 +65,9 @@ class TestReplace:
 
     def test_changes_outputs(self, tiny_cnn_graph, rng):
         x = rng.normal(size=(2, 3, 8, 8))
-        base = Executor(tiny_cnn_graph).run({"x": x})
+        base = compile_graph(tiny_cnn_graph).run({"x": x})
         new, _ = replace_activations(tiny_cnn_graph, {"silu": lambda v: v * 0.0})
-        out = Executor(new).run({"x": x})
+        out = compile_graph(new).run({"x": x})
         key = tiny_cnn_graph.outputs[0]
         assert not np.allclose(base[key], out[key])
 
@@ -78,10 +78,10 @@ class TestReplace:
     def test_restore_round_trip(self, tiny_cnn_graph, rng):
         x = rng.normal(size=(2, 3, 8, 8))
         key = tiny_cnn_graph.outputs[0]
-        base = Executor(tiny_cnn_graph).run({"x": x})[key]
+        base = compile_graph(tiny_cnn_graph).run({"x": x})[key]
         new, _ = replace_activations(tiny_cnn_graph, {"silu": lambda v: v * 0.0})
         restored = restore_exact_activations(new)
-        got = Executor(restored).run({"x": x})[key]
+        got = compile_graph(restored).run({"x": x})[key]
         assert np.array_equal(got, base)
 
 
@@ -89,12 +89,12 @@ class TestMakeApproximators:
     def test_accuracy_improves_with_budget(self, tiny_cnn_graph, rng):
         x = rng.normal(size=(4, 3, 8, 8))
         key = tiny_cnn_graph.outputs[0]
-        base = Executor(tiny_cnn_graph).run({"x": x})[key]
+        base = compile_graph(tiny_cnn_graph).run({"x": x})[key]
         errs = []
         for nbp in (4, 16):
             approx = make_pwl_approximators(["silu"], nbp)
             new, _ = replace_activations(tiny_cnn_graph, approx)
-            out = Executor(new).run({"x": x})[key]
+            out = compile_graph(new).run({"x": x})[key]
             errs.append(np.linalg.norm(out - base))
         assert errs[1] < errs[0]
 

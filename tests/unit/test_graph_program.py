@@ -6,12 +6,11 @@ import pytest
 from repro.core.pwl import PiecewiseLinear
 from repro.errors import GraphError
 from repro.functions.softmax import SoftmaxApproximator
-from repro.graph.executor import Executor, interpret
+from repro.graph.executor import interpret
 from repro.graph.ir import Graph, Node
 from repro.graph.ops import CostRecord, OP_REGISTRY, register_op
 from repro.graph.passes import make_pwl_approximators, replace_activations
-from repro.graph.program import (Program, PwlKernel, SoftmaxPwlKernel,
-                                 compile_graph)
+from repro.graph.program import PwlKernel, SoftmaxPwlKernel, compile_graph
 
 
 class TestCompile:
@@ -48,6 +47,15 @@ class TestCompile:
                     + len(tiny_attention_graph.inputs)
                     + sum(len(n.outputs) for n in tiny_attention_graph.nodes))
         assert prog.n_slots < n_values
+
+    def test_attention_run_matches_interpreter(self, tiny_attention_graph,
+                                               rng):
+        prog = compile_graph(tiny_attention_graph)
+        x = rng.normal(size=(2, 3, 8, 8))
+        ref = interpret(tiny_attention_graph, {"x": x})
+        out = prog.run({"x": x})
+        for name in tiny_attention_graph.outputs:
+            assert np.array_equal(out[name], ref[name])
 
     def test_template_not_polluted_across_runs(self, tiny_cnn_graph, rng):
         prog = compile_graph(tiny_cnn_graph)
@@ -99,7 +107,32 @@ class TestStaticProfile:
             assert np.array_equal(prog.run({"x": x})["y"], x + 1.0)
             with pytest.raises(GraphError, match="static shape inference"):
                 prog.profile
-            assert isinstance(Executor(g), Executor)  # shim unaffected
+        finally:
+            OP_REGISTRY.pop(name, None)
+
+    def test_multi_output_op_runs_through_every_path(self, rng):
+        name = "test_split_op"
+        register_op(name)(
+            lambda inputs, attrs: [inputs[0] * 2.0, inputs[0] - 1.0])(
+            lambda i, o, a: CostRecord(vector_ops=2))
+        from repro.graph.ops import register_shape
+
+        register_shape(name)(lambda in_shapes, attrs: [in_shapes[0]] * 2)
+        try:
+            g = Graph(name="split")
+            g.inputs.append(("x", (0, 4)))
+            g.add_node(Node(name, ["x"], ["a", "b"]))
+            g.add_node(Node("add", ["a", "b"], ["y"]))
+            g.outputs.append("y")
+            prog = compile_graph(g, batch_size=2)
+            x = rng.normal(size=(2, 4))
+            ref = interpret(g, {"x": x})["y"]
+            assert np.array_equal(prog.run({"x": x})["y"], ref)
+            out, runtime = prog.run_profiled({"x": x})
+            assert np.array_equal(out["y"], ref)
+            assert runtime == prog.profile
+            out, _ = prog.run_timed({"x": x})
+            assert np.array_equal(out["y"], ref)
         finally:
             OP_REGISTRY.pop(name, None)
 
@@ -139,13 +172,13 @@ class TestBakedKernels:
 
     def test_pwl_activation_becomes_kernel_record(self, tiny_attention_graph):
         prog, nodes = self._compiled_activations(tiny_attention_graph, 8)
-        assert isinstance(nodes["activation"].kernel1, PwlKernel)
-        assert isinstance(nodes["softmax"].kernel1, SoftmaxPwlKernel)
+        assert isinstance(nodes["activation"].kernel, PwlKernel)
+        assert isinstance(nodes["softmax"].kernel, SoftmaxPwlKernel)
         assert prog.profile.total_act_elements > 0
 
     def test_kernel_table_is_the_memoised_ltc_table(self, tiny_attention_graph):
         _, nodes = self._compiled_activations(tiny_attention_graph, 8)
-        kernel = nodes["activation"].kernel1
+        kernel = nodes["activation"].kernel
         pwl = kernel.source
         m, q = pwl.coefficients()
         assert kernel.m is m and kernel.q is q
@@ -233,16 +266,3 @@ class TestRunMany:
                         {"a": np.ones((4, 3)), "b": np.ones((1, 3))})
         assert np.array_equal(out["y"], ref["y"])
 
-
-class TestExecutorShim:
-    def test_executor_exposes_program(self, tiny_cnn_graph):
-        ex = Executor(tiny_cnn_graph)
-        assert isinstance(ex.program, Program)
-
-    def test_shim_matches_interpreter(self, tiny_attention_graph, rng):
-        ex = Executor(tiny_attention_graph)
-        x = rng.normal(size=(2, 3, 8, 8))
-        ref = interpret(tiny_attention_graph, {"x": x})
-        out = ex.run({"x": x})
-        for name in tiny_attention_graph.outputs:
-            assert np.array_equal(out[name], ref[name])

@@ -118,7 +118,7 @@ class TestKernelFusion:
         prog = compile_graph(tiny_cnn_graph, optimize=True,
                              passes=["fuse-kernels"])
         fused = [cn for cn in prog.nodes if cn.op_type == "fused"]
-        assert fused and all(isinstance(cn.kernel_n, FusedKernel)
+        assert fused and all(isinstance(cn.kernel, FusedKernel)
                              for cn in fused)
 
     def test_multi_consumer_values_break_the_chain(self):
@@ -148,38 +148,25 @@ class TestKernelFusion:
 
 
 class TestRegionScheduler:
-    def test_stages_partition_the_order(self, tiny_attention_graph):
+    def test_order_is_topological_by_level(self, tiny_attention_graph):
         plan = _plan_for(tiny_attention_graph)
+        before = list(plan.order)
         get_pass("schedule-regions").run(plan)
-        flat = [i for stage in plan.stages for i in stage]
-        assert sorted(flat) == list(range(len(plan.order)))
-        assert flat == list(range(len(plan.order)))  # concatenation order
-
-    def test_stage_members_are_independent(self, tiny_attention_graph):
-        plan = _plan_for(tiny_attention_graph)
-        get_pass("schedule-regions").run(plan)
-        for stage in plan.stages:
-            produced = set()
-            for i in stage:
-                node = plan.order[i]
-                assert not (set(node.inputs) & produced)
-                produced.update(node.outputs)
-
-    def test_parallel_run_is_bitwise(self, tiny_attention_graph, rng):
-        g = tiny_attention_graph
-        x = rng.normal(size=(2,) + tuple(g.inputs[0][1][1:]))
-        feeds = {g.inputs[0][0]: x}
-        ref = interpret(g, feeds)
-        prog = compile_graph(g, optimize=True, workers=2)
-        assert prog._stage_ranges  # staged plan actually present
-        out = prog.run(feeds)
-        for name in g.outputs:
-            assert np.array_equal(out[name], ref[name])
-
-    def test_workers_default_from_env(self, monkeypatch, tiny_cnn_graph):
-        monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
-        prog = compile_graph(tiny_cnn_graph, optimize=True)
-        assert prog._workers == 3
+        assert sorted(map(id, plan.order)) == sorted(map(id, before))
+        assert plan.graph.nodes == plan.order
+        available = {name for name, _ in plan.graph.inputs}
+        available.update(plan.graph.initializers)
+        level = dict.fromkeys(available, -1)
+        last = 0
+        for node in plan.order:
+            assert all(v in available for v in node.inputs), node.name
+            node_level = 1 + max((level[v] for v in node.inputs),
+                                 default=-1)
+            assert node_level >= last, f"{node.name} breaks level order"
+            last = node_level
+            for v in node.outputs:
+                available.add(v)
+                level[v] = node_level
 
 
 class TestPipeline:

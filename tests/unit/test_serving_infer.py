@@ -1,18 +1,22 @@
 """The ``serve-infer`` daemon: micro-batching, correctness, 429s."""
 
 import queue as queue_mod
+import threading
 
 import numpy as np
 import pytest
 
+from repro.analysis.diagnostics import DiagnosticError
 from repro.graph.builder import GraphBuilder
+from repro.graph.ir import Graph, Node
 from repro.graph.program import compile_graph
 from repro.serving.client import ServerError, ServingClient
 from repro.serving.infer_server import (DEFAULT_BATCH_MS, InferApp,
                                         InferServer, ModelRunner,
                                         resolve_batch_ms)
 from repro.serving.protocol import (ENV_INFER_BATCH_MS, PROTOCOL_VERSION,
-                                    ROUTE_INFER, encode_array)
+                                    ROUTE_INFER, decode_array,
+                                    encode_array)
 
 
 def _tiny_program():
@@ -152,6 +156,78 @@ class TestInferApp:
         app.runners["tiny"].stop()
         status, doc, _ = app.handle("POST", ROUTE_INFER, self._body(rng))
         assert status == 503
+
+
+class TestMalformedRequests:
+    """A malformed request is refused alone, at admission, with a 400."""
+
+    @staticmethod
+    def _body(feeds):
+        return {"protocol": PROTOCOL_VERSION, "model": "tiny",
+                "feeds": {k: encode_array(v) for k, v in feeds.items()}}
+
+    def test_bad_request_does_not_fail_its_batch(self, rng):
+        graph, prog = _tiny_program()
+        # A wide window: without the admission check both requests
+        # would share one fused pass and fail together.
+        app = InferApp({"tiny": prog}, batch_ms=200.0)
+        good = {"x": rng.normal(size=(1, 16))}
+        bad = {"x": rng.normal(size=(1, 15))}
+        answers = {}
+
+        def post(key, feeds):
+            answers[key] = app.handle("POST", ROUTE_INFER, self._body(feeds))
+
+        try:
+            worker = threading.Thread(target=post, args=("good", good))
+            worker.start()
+            post("bad", bad)
+            worker.join(30.0)
+        finally:
+            app.close()
+        status, doc, _ = answers["bad"]
+        assert status == 400
+        assert doc["error"] == "RPR202" and "RPR202" in doc["message"]
+        status, doc, _ = answers["good"]
+        assert status == 200
+        name = graph.outputs[0]
+        assert np.array_equal(decode_array(doc["outputs"][name]),
+                              prog.run(good)[name])
+
+    def test_runner_refuses_bad_feeds_and_serves_the_rest(self, rng):
+        graph, prog = _tiny_program()
+        runner = ModelRunner("tiny", prog, batch_ms=200.0)
+        try:
+            good = {"x": rng.normal(size=(1, 16))}
+            pending = runner.submit(good)
+            with pytest.raises(DiagnosticError) as err:
+                runner.submit({"x": rng.normal(size=(1, 15))})
+            assert err.value.code == "RPR202"
+            assert pending.event.wait(30.0)
+            assert pending.error is None
+            name = graph.outputs[0]
+            assert np.array_equal(pending.outputs[name],
+                                  prog.run(good)[name])
+        finally:
+            runner.stop()
+
+    def test_lone_and_batched_requests_are_checked_alike(self):
+        g = Graph(name="pair")
+        g.inputs.extend([("a", (0, 3)), ("b", (0, 3))])
+        g.add_node(Node("add", ["a", "b"], ["y"]))
+        g.outputs.append("y")
+        prog = compile_graph(g)
+        ragged = {"a": np.zeros((3, 3)), "b": np.ones((1, 3))}
+        other = {"a": np.zeros((1, 3)), "b": np.ones((1, 3))}
+        codes = []
+        for batch in ([ragged], [other, ragged]):
+            with pytest.raises(DiagnosticError) as err:
+                prog.run_many(batch)
+            codes.append(err.value.code)
+        assert codes == ["RPR203", "RPR203"]
+        with pytest.raises(DiagnosticError, match="RPR203"):
+            prog.check_request(ragged)
+        assert prog.check_request(other) == 1
 
 
 class TestInferServerEndToEnd:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.executor import Executor
+from repro.graph.program import compile_graph
 from repro.zoo.builders import BUILDERS
 from repro.zoo.catalog import (
     activation_share_by_year,
@@ -44,13 +44,13 @@ class TestBuilders:
     @pytest.mark.parametrize("key", sorted(BUILDERS), ids=str)
     def test_builder_produces_runnable_graph(self, key, rng):
         graph = BUILDERS[key](scale=0.5, seed=0)
-        ex = Executor(graph)
+        prog = compile_graph(graph)
         name, shape = graph.inputs[0]
         if name == "ids":
             feed = {name: rng.integers(0, 32, size=(2, shape[1]))}
         else:
             feed = {name: rng.normal(size=(2,) + tuple(shape[1:]))}
-        out = ex.run(feed)[graph.outputs[0]]
+        out = prog.run(feed)[graph.outputs[0]]
         assert out.ndim == 2 and out.shape[0] == 2
         assert np.all(np.isfinite(out))
 
@@ -64,19 +64,21 @@ class TestBuilders:
     def test_scale_changes_width(self, rng):
         small = BUILDERS["vgg"](scale=0.5, seed=0)
         big = BUILDERS["vgg"](scale=2.0, seed=0)
-        ex_s, _ = Executor(small).profile({"x": rng.normal(size=(1, 3, 16, 16))})
+        ex_s, _ = compile_graph(small).run_profiled({"x": rng.normal(size=(1, 3, 16, 16))})
         pass  # profile checked below
 
     def test_scale_changes_macs(self, rng):
         feeds = {"x": rng.normal(size=(1, 3, 16, 16))}
-        _, small = Executor(BUILDERS["vgg"](scale=0.5, seed=0)).profile(feeds)
-        _, big = Executor(BUILDERS["vgg"](scale=2.0, seed=0)).profile(feeds)
+        _, small = compile_graph(
+            BUILDERS["vgg"](scale=0.5, seed=0)).run_profiled(feeds)
+        _, big = compile_graph(
+            BUILDERS["vgg"](scale=2.0, seed=0)).run_profiled(feeds)
         assert big.total_macs > 4 * small.total_macs
 
     def test_determinism_in_seed(self, rng):
         x = rng.normal(size=(1, 3, 16, 16))
-        a = Executor(BUILDERS["resnet"](scale=0.5, seed=5)).run({"x": x})
-        b = Executor(BUILDERS["resnet"](scale=0.5, seed=5)).run({"x": x})
+        a = compile_graph(BUILDERS["resnet"](scale=0.5, seed=5)).run({"x": x})
+        b = compile_graph(BUILDERS["resnet"](scale=0.5, seed=5)).run({"x": x})
         ka = list(a)[0]
         assert np.array_equal(a[ka], b[list(b)[0]])
 
