@@ -3,18 +3,21 @@
 The serving tier's reason to exist in one number: 16 concurrent
 clients posting single-sample requests at a ``serve-infer`` daemon
 must beat the same requests executed sequentially through
-``Program.run`` — HTTP framing, JSON arrays and queue hops included —
+``Program.run`` — HTTP framing, array codec and queue hops included —
 because the batcher fuses concurrent requests into stacked
 ``run_many`` passes.
 
 The workload is built to expose the win honestly: a small-input,
-heavy-compute MLP (input dim 64, three hidden layers), so the JSON
+heavy-compute MLP (input dim 64, three hidden layers), so the
 payload per request stays tiny while each fused GEMM carries real
 arithmetic — a wide matrix-vector product is memory-bound on its
 weight matrix, so a fused batch reads the weights once where the
 sequential baseline reads them per request.  Clients are real forked
 processes: in-process client threads would serialize on the GIL and
-measure the harness, not the server.
+measure the harness, not the server.  No client sends a request until
+every client is forked: the server runs in this process, and a fork
+while its batcher thread is inside a multi-threaded BLAS call can
+deadlock in OpenBLAS's fork handler.
 
 Acceptance gate: >= 2x served throughput over the sequential baseline
 at 16 clients (>= 1.2x under ``--bench-quick``, where the shrunken
@@ -51,12 +54,14 @@ def _mlp(hidden: int):
 
 
 def _client(addr, seed, n_requests, barrier, conn):
-    """Client-process body: warm the connection, sync on the barrier,
-    drain the plan, report elapsed wall time."""
+    """Client-process body: wait until the whole fleet is forked, warm
+    the connection, sync on the barrier again, drain the plan, report
+    elapsed wall time."""
     try:
         rng = np.random.default_rng(seed)
         plan = [{"x": rng.normal(size=(1, 64))} for _ in range(n_requests)]
         with ServingClient(addr) as client:
+            barrier.wait()
             client.infer("mlp", plan[0])  # connect + first-request warm
             barrier.wait()
             t0 = time.perf_counter()
@@ -82,7 +87,8 @@ def _serve_all(addr, n_clients, per_client):
         p.start()
         pipes.append(recv)
         procs.append(p)
-    barrier.wait()
+    barrier.wait()  # fleet forked: clients may now reach the server
+    barrier.wait()  # fleet warm: the timed window starts
     t0 = time.perf_counter()
     payloads = []
     for pipe in pipes:

@@ -21,6 +21,12 @@ and mid-flight kills):
 * ``serving.write``  — response write (``check`` + ``drop``: a dropped
   write closes the connection with no response — the client sees the
   same thing a mid-flight server kill produces).
+
+Every body in both directions is strict JSON: a request holding a
+``NaN`` / ``Infinity`` token is a 400, and a response document that
+cannot be encoded that way goes out as a 500 error document.  A
+declared body longer than :data:`~repro.serving.protocol.MAX_BODY_BYTES`
+is refused with 413 before any of it is read.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from typing import Any, Dict, Optional, Tuple
 from .. import __version__
 from ..faults import get_faults
 from ..obs.metrics import get_metrics
-from .protocol import (PROTOCOL_VERSION, ROUTE_HEALTH, ROUTE_METRICS,
-                       ROUTE_VERSION, error_doc, format_addr)
+from .protocol import (MAX_BODY_BYTES, PROTOCOL_VERSION, ROUTE_HEALTH,
+                       ROUTE_METRICS, ROUTE_VERSION, error_doc, format_addr)
 
 #: (status, document, extra headers) — what an app route returns.
 Response = Tuple[int, Dict[str, Any], Optional[Dict[str, str]]]
@@ -86,6 +92,16 @@ class ServingApp:
         """Release app-held resources (idempotent)."""
 
 
+class _BodyTooLarge(Exception):
+    """A declared request body above :data:`MAX_BODY_BYTES` (→ 413)."""
+
+
+def _refuse_constant(token: str) -> Any:
+    """``json.loads`` hook for the non-standard ``NaN`` / ``Infinity`` /
+    ``-Infinity`` tokens: a ``ValueError``, answered with 400."""
+    raise ValueError(f"non-standard JSON token {token!r}")
+
+
 class _Handler(BaseHTTPRequestHandler):
     """JSON-in/JSON-out request handler over a :class:`ServingApp`."""
 
@@ -109,13 +125,21 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         try:
             body = self._read_body()
+        except _BodyTooLarge as exc:
+            # Refused unread: closing the connection discards whatever
+            # of the body the client still sends.
+            self.close_connection = True
+            self._refuse(413, "too-large", str(exc))
+            return
         except (ValueError, UnicodeDecodeError) as exc:
-            get_metrics().counter("serving.http.bad_requests",
-                                  role=self._app().role).inc()
-            self._send_json(400, error_doc("bad-request",
-                                           f"undecodable body: {exc}"))
+            self._refuse(400, "bad-request", f"undecodable body: {exc}")
             return
         self._dispatch("POST", body)
+
+    def _refuse(self, status: int, code: str, message: str) -> None:
+        get_metrics().counter("serving.http.bad_requests",
+                              role=self._app().role).inc()
+        self._send_json(status, error_doc(code, message))
 
     def _app(self) -> ServingApp:
         return self.server.app  # type: ignore[attr-defined]
@@ -130,13 +154,14 @@ class _Handler(BaseHTTPRequestHandler):
                                   role=app.role).inc()
             status, doc, headers = 500, error_doc(
                 "internal", f"unhandled server error: {exc!r}"), None
-        get_metrics().counter("serving.http.responses", role=app.role,
-                              status=str(status)).inc()
         self._send_json(status, doc, headers)
 
     # ------------------------------------------------------------------ #
     def _read_body(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length", 0) or 0)
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length > 0 else b""
         # Injectable torn/mangled request: the decode below must turn
         # it into a 400, never a handler crash.
@@ -144,7 +169,7 @@ class _Handler(BaseHTTPRequestHandler):
         text = get_faults().corrupt("serving.read", raw.decode("utf-8"))
         if not text:
             return {}
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_refuse_constant)
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got "
                              f"{type(doc).__name__}")
@@ -152,8 +177,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, doc: Dict[str, Any],
                    headers: Optional[Dict[str, str]] = None) -> None:
-        self._send_bytes(status, json.dumps(doc).encode("utf-8"),
-                         "application/json", headers)
+        role = self._app().role
+        try:
+            text = json.dumps(doc, allow_nan=False)
+        except (TypeError, ValueError) as exc:  # NaN, inf, non-JSON type
+            get_metrics().counter("serving.http.errors", role=role).inc()
+            status, headers = 500, None
+            text = json.dumps(error_doc(
+                "internal", f"unencodable response document: {exc}"))
+        get_metrics().counter("serving.http.responses", role=role,
+                              status=str(status)).inc()
+        self._send_bytes(status, text.encode("utf-8"), "application/json",
+                         headers)
 
     def _send_text(self, status: int, text: str) -> None:
         self._send_bytes(status, text.encode("utf-8"),

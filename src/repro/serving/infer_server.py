@@ -12,7 +12,9 @@ and splits the outputs back to the blocked HTTP handler threads.
 Admission is per request: a request whose feeds could not be stacked
 (a missing input, wrong trailing dims, inputs disagreeing on their
 sample count) is refused with a **400** carrying its ``RPR20x`` code
-before it can join — and fail — a fused batch.
+before it can join — and fail — a fused batch; so is a feed that is
+not a bool/int/float array document or whose floats hold NaN or
+infinity (``bad-request``).
 
 Backpressure is explicit: a full queue answers **429** with a
 ``Retry-After`` of one batch window, so synchronized clients back off
@@ -247,6 +249,11 @@ class InferApp(ServingApp):
                      for name, arr_doc in feeds_doc.items()}
         except ValueError as exc:
             return 400, error_doc("bad-request", str(exc)), None
+        for name, arr in feeds.items():
+            if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+                return 400, error_doc(
+                    "bad-request", f"feed {name!r} holds NaN or "
+                    f"infinity"), None
         try:
             pending = runner.submit(feeds)
         except DiagnosticError as exc:

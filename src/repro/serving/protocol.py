@@ -19,10 +19,15 @@ of mis-parsing silently.  The protocol is deliberately tiny:
 ``GET /v1/models``        the models ``serve-infer`` holds hot
 =======================  ==============================================
 
-Array payloads travel as ``{"shape", "dtype", "data"}`` documents
-(flat lists plus an explicit dtype), so a round-trip reconstructs the
-exact ndarray instead of whatever ``np.asarray`` would guess from a
-nested list.
+Array payloads travel as ``{"shape", "dtype", "data"}`` documents whose
+``data`` is the standard base64 of the array's C-order little-endian
+bytes, so a round trip reconstructs the exact ndarray bit for bit (NaN
+payloads and signed zeros included) and the JSON carries one string per
+array instead of one number text per element.  Only bool, integer and
+float arrays cross the wire; :func:`decode_array` refuses anything else
+with a ``ValueError`` (a 400 upstream).  Documents are strict JSON: the
+servers never emit, and refuse to read, ``NaN`` / ``Infinity`` tokens,
+and refuse a request body longer than :data:`MAX_BODY_BYTES` unread.
 
 This module is a leaf: stdlib + numpy only, importable from both the
 ``repro.api`` client side and the ``repro.service`` daemon side without
@@ -31,12 +36,20 @@ cycles.
 
 from __future__ import annotations
 
+import base64
+import math
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-#: Bump when a request/response document changes shape.
-PROTOCOL_VERSION = 1
+#: Bump when a request/response document changes shape.  Version 2
+#: carries array data as base64 bytes (version 1 sent number lists).
+PROTOCOL_VERSION = 2
+
+#: Largest request body a server reads, in bytes.  A longer declared
+#: ``Content-Length`` is answered with 413 before any of it is read.
+#: A 64-sample 3x32x32 float64 zoo feed is about 2 MiB on the wire.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Environment variables the serving tier reads.
 ENV_SERVE_ADDR = "REPRO_SERVE_ADDR"          # fit server host:port
@@ -114,30 +127,60 @@ def check_protocol(doc: Dict[str, Any]) -> Optional[str]:
 # --------------------------------------------------------------------- #
 # Array documents
 # --------------------------------------------------------------------- #
+#: Element kinds an array document may carry: bool, signed and
+#: unsigned integers, floats.
+_ARRAY_KINDS = "biuf"
+
+
 def encode_array(arr: np.ndarray) -> Dict[str, Any]:
-    """An ndarray as a JSON-native document (lossless for the dtypes
-    the graph executor produces: floats and integer token ids)."""
+    """An ndarray as a JSON-native document: shape, native dtype name,
+    and the base64 of its C-order little-endian bytes (lossless)."""
     arr = np.asarray(arr)
-    return {"shape": list(arr.shape), "dtype": str(arr.dtype),
-            "data": arr.reshape(-1).tolist()}
+    wire = np.asarray(arr, dtype=arr.dtype.newbyteorder("<"))
+    return {"shape": list(arr.shape),
+            "dtype": str(arr.dtype.newbyteorder("=")),
+            "data": base64.b64encode(wire.tobytes()).decode("ascii")}
 
 
 def decode_array(doc: Dict[str, Any]) -> np.ndarray:
-    """Inverse of :func:`encode_array`; raises ``ValueError`` on a
-    document whose data does not fill its declared shape."""
+    """Inverse of :func:`encode_array`: an owned, writable,
+    native-endian array.
+
+    The one validation point for arrays from the wire: raises
+    ``ValueError`` unless the shape is a list of non-negative integers,
+    the dtype names a bool/int/uint/float type, and ``data`` is strict
+    base64 of exactly ``prod(shape) * itemsize`` bytes.
+    """
     try:
-        shape = tuple(int(d) for d in doc["shape"])
-        dtype = np.dtype(str(doc["dtype"]))
-        data = doc["data"]
+        shape, name, data = doc["shape"], doc["dtype"], doc["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed array document: {exc!r}") from None
-    arr = np.asarray(data, dtype=dtype)
+    if not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"array shape must be a list of non-negative "
+                         f"integers, got {shape!r}")
     try:
-        return arr.reshape(shape)
-    except ValueError:
+        dtype = np.dtype(name) if isinstance(name, str) else None
+    except (TypeError, ValueError, SyntaxError):
+        # numpy parses comma-separated field lists as Python literals.
+        dtype = None
+    if dtype is None or dtype.kind not in _ARRAY_KINDS:
+        raise ValueError(f"array dtype must be bool, int, uint or float, "
+                         f"got {name!r}")
+    if not isinstance(data, str):
+        raise ValueError(f"array data must be a base64 string (protocol "
+                         f"{PROTOCOL_VERSION}), got {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error: bad padding or alphabet
+        raise ValueError(f"array data is not strict base64: {exc}") from None
+    expected = math.prod(shape) * dtype.itemsize
+    if len(raw) != expected:
         raise ValueError(
-            f"array document declares shape {shape} but carries "
-            f"{arr.size} elements") from None
+            f"array document declares shape {tuple(shape)} of {dtype} "
+            f"({expected} bytes) but carries {len(raw)} bytes")
+    wire = np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
+    return wire.reshape(shape).astype(dtype.newbyteorder("="))
 
 
 __all__ = [
@@ -147,6 +190,7 @@ __all__ = [
     "ENV_INFER_ADDR",
     "ENV_INFER_BATCH_MS",
     "ENV_SERVE_ADDR",
+    "MAX_BODY_BYTES",
     "PROTOCOL_VERSION",
     "ROUTE_FIT",
     "ROUTE_HEALTH",

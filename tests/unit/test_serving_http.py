@@ -6,6 +6,9 @@ serves the whole module; every test talks to it through the real
 are exercised end to end in-process.
 """
 
+import http.client
+import json
+import socket
 import threading
 
 import pytest
@@ -15,7 +18,9 @@ from repro.core.batchfit import FitCache
 from repro.core.fit import FitConfig
 from repro.serving.client import ServerError, ServingClient
 from repro.serving.fit_server import FitHttpApp, FitHttpServer
-from repro.serving.protocol import PROTOCOL_VERSION, ROUTE_FIT
+from repro.serving.http import ServerThread, ServingApp, ServingHTTPServer
+from repro.serving.protocol import (MAX_BODY_BYTES, PROTOCOL_VERSION,
+                                    ROUTE_FIT)
 from repro.service.daemon import FitService, ServiceConfig
 
 _TINY = FitConfig(n_breakpoints=4, max_steps=40, refine_steps=20,
@@ -166,3 +171,74 @@ class TestBackpressure:
         assert not errors
         assert len(results) == 6
         assert len({doc["key"] for doc in results}) == 1
+
+
+class _NanApp(ServingApp):
+    """Answers ``GET /nan`` with a float no strict JSON can carry."""
+
+    def handle(self, method, path, body):
+        if method == "GET" and path == "/nan":
+            return 200, {"ok": True, "value": float("nan")}, None
+        return super().handle(method, path, body)
+
+
+def _strict_loads(raw):
+    def refuse(token):
+        raise ValueError(f"non-standard token {token}")
+    return json.loads(raw.decode("utf-8"), parse_constant=refuse)
+
+
+class TestStrictWire:
+    """Strict JSON both ways, and oversized bodies refused unread."""
+
+    @pytest.fixture(scope="class")
+    def addr(self):
+        with ServerThread(ServingHTTPServer(("127.0.0.1", 0),
+                                            _NanApp())) as addr:
+            host, _, port = addr.rpartition(":")
+            yield host, int(port)
+
+    @staticmethod
+    def _exchange(addr, method, path, body=None):
+        conn = http.client.HTTPConnection(*addr, timeout=5.0)
+        try:
+            conn.request(method, path, body=body,
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_token_in_request_is_400(self, addr, token):
+        body = ('{"protocol": %d, "requests": [], "x": %s}'
+                % (PROTOCOL_VERSION, token)).encode()
+        status, raw = self._exchange(addr, "POST", ROUTE_FIT, body)
+        assert status == 400
+        doc = _strict_loads(raw)
+        assert doc["error"] == "bad-request"
+        assert token in doc["message"]
+
+    def test_unencodable_response_is_a_strict_500(self, addr):
+        status, raw = self._exchange(addr, "GET", "/nan")
+        assert status == 500
+        doc = _strict_loads(raw)
+        assert doc["ok"] is False and doc["error"] == "internal"
+
+    def test_oversized_body_is_413_before_reading(self, addr):
+        with socket.create_connection(addr, timeout=5.0) as sock:
+            sock.sendall(b"POST /v1/fit HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: 1000000000\r\n\r\n{}")
+            raw = b""
+            while True:  # the server closes after answering
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413")
+        doc = _strict_loads(body)
+        assert doc["error"] == "too-large"
+        assert str(MAX_BODY_BYTES) in doc["message"]
+        assert self._exchange(addr, "GET", "/healthz")[0] == 200

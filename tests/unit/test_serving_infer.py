@@ -130,13 +130,37 @@ class TestInferApp:
         status, doc, _ = app.handle("POST", ROUTE_INFER, body)
         assert status == 400
 
-    def test_bad_feeds_are_400(self, app):
-        for feeds in (None, {}, {"x": {"shape": [1], "data": [1, 2]}}):
-            status, _, _ = app.handle(
+    def test_bad_feeds_are_400(self, app, rng):
+        good = encode_array(rng.normal(size=(1, 16)))
+        bad_docs = [
+            {"shape": [1], "data": [1, 2]},
+            dict(good, data="not base64!"),
+            dict(good, shape=[2, 16]),   # bytes fill half the shape
+            dict(good, shape=[-1, 16]),
+            # A protocol-1 number list sent as protocol 2.
+            dict(good, data=rng.normal(size=16).tolist()),
+        ]
+        for feeds in [None, {}] + [{"x": d} for d in bad_docs]:
+            status, doc, _ = app.handle(
                 "POST", ROUTE_INFER,
                 {"protocol": PROTOCOL_VERSION, "model": "tiny",
                  "feeds": feeds})
             assert status == 400
+            assert doc["error"] == "bad-request"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feed_is_400_naming_the_input(self, app, rng,
+                                                      value):
+        x = rng.normal(size=(1, 16))
+        x[0, 3] = value
+        status, doc, _ = app.handle(
+            "POST", ROUTE_INFER,
+            {"protocol": PROTOCOL_VERSION, "model": "tiny",
+             "feeds": {"x": encode_array(x)}})
+        assert status == 400
+        assert doc["error"] == "bad-request"
+        assert "'x'" in doc["message"]
+        assert app.runners["tiny"].requests == 0
 
     def test_full_queue_is_429_with_retry_after(self, app, rng,
                                                 monkeypatch):
@@ -166,13 +190,15 @@ class TestMalformedRequests:
         return {"protocol": PROTOCOL_VERSION, "model": "tiny",
                 "feeds": {k: encode_array(v) for k, v in feeds.items()}}
 
-    def test_bad_request_does_not_fail_its_batch(self, rng):
+    def _beside_good(self, rng, bad):
+        """Post ``bad`` while a good request waits in a wide window;
+        check the good one comes back bitwise-equal to its solo run and
+        return the bad one's answer."""
         graph, prog = _tiny_program()
         # A wide window: without the admission check both requests
         # would share one fused pass and fail together.
         app = InferApp({"tiny": prog}, batch_ms=200.0)
         good = {"x": rng.normal(size=(1, 16))}
-        bad = {"x": rng.normal(size=(1, 15))}
         answers = {}
 
         def post(key, feeds):
@@ -183,16 +209,32 @@ class TestMalformedRequests:
             worker.start()
             post("bad", bad)
             worker.join(30.0)
+            assert not worker.is_alive()
         finally:
             app.close()
-        status, doc, _ = answers["bad"]
-        assert status == 400
-        assert doc["error"] == "RPR202" and "RPR202" in doc["message"]
         status, doc, _ = answers["good"]
         assert status == 200
         name = graph.outputs[0]
         assert np.array_equal(decode_array(doc["outputs"][name]),
                               prog.run(good)[name])
+        return answers["bad"]
+
+    def test_bad_request_does_not_fail_its_batch(self, rng):
+        status, doc, _ = self._beside_good(
+            rng, {"x": rng.normal(size=(1, 15))})
+        assert status == 400
+        assert doc["error"] == "RPR202" and "RPR202" in doc["message"]
+
+    @pytest.mark.parametrize("feed", [
+        np.full((1, 16), 0.5, dtype=object),
+        np.full((1, 16), "0.5", dtype="<U32"),
+        np.full((1, 16), 0.5 + 0.5j),
+    ], ids=["object", "str", "complex128"])
+    def test_non_numeric_dtype_is_refused_alone(self, rng, feed):
+        status, doc, _ = self._beside_good(rng, {"x": feed})
+        assert status == 400
+        assert doc["error"] == "bad-request"
+        assert repr(str(feed.dtype)) in doc["message"]
 
     def test_runner_refuses_bad_feeds_and_serves_the_rest(self, rng):
         graph, prog = _tiny_program()
