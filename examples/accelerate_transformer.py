@@ -44,10 +44,8 @@ def main() -> None:
             approx_out = program.run({"x": x})[out_name]
             rel = (np.linalg.norm(approx_out - exact_out)
                    / np.linalg.norm(exact_out))
-            kernels = sum(1 for cn in program.nodes
-                          if cn.attrs.get("impl") == "pwl")
-            print(f"  {n_bp:3d} breakpoints: {kernels} PWL kernels baked, "
-                  f"|delta|/|f| = {rel:.2e}")
+            print(f"  {n_bp:3d} breakpoints: {program.n_pwl_kernels} PWL "
+                  f"kernels baked, |delta|/|f| = {rel:.2e}")
 
         # Serve repeated single-sample requests through the compiled
         # plan — run_many fuses them into stacked batches.

@@ -539,8 +539,8 @@ class Session:
     def compile(self, graph: "Graph", batch_size: int = 1,
                 n_breakpoints: Optional[int] = None,
                 config: Optional["FitConfig"] = None,
-                verify: bool = True, optimize: bool = False,
-                passes: Optional[List[str]] = None) -> "Program":
+                verify: bool = True,
+                passes: Optional[Sequence[str]] = None) -> "Program":
         """Compile a :class:`~repro.graph.ir.Graph` into a hot-runnable
         :class:`~repro.graph.program.Program`.
 
@@ -552,18 +552,19 @@ class Session:
         size.  ``verify`` gates the compile-time static checks (see
         :func:`repro.graph.program.compile_graph`).
 
-        ``optimize`` / ``passes`` forward to
-        :func:`~repro.graph.program.compile_graph` — ``optimize=True``
-        runs the default optimization pipeline
-        (:data:`repro.graph.opt.DEFAULT_PASSES`) and ``passes`` names an
-        explicit ordered subset.
+        The plan is optimized: ``passes`` names the
+        :mod:`repro.graph.opt` passes to run, in order, and defaults to
+        :data:`~repro.graph.opt.DEFAULT_PASSES`; ``passes=[]`` compiles
+        the graph as written.  Every pass keeps the outputs
+        bitwise-equal to the eager interpreter, and each one's static
+        cost delta lands on :attr:`Program.pass_reports`.
         """
         from ..graph.program import compile_graph
 
         if n_breakpoints is not None:
             graph = self.rewrite(graph, n_breakpoints, config=config)
         return compile_graph(graph, batch_size=batch_size, verify=verify,
-                             optimize=optimize, passes=passes)
+                             optimize=passes is None, passes=passes or None)
 
     # ------------------------------------------------------------------ #
     # Telemetry

@@ -39,8 +39,9 @@ Environment
                       ``http`` engine (and ``engine=auto``) talks to
                       client-side;
 ``REPRO_INFER_ADDR``  ``host:port`` of a ``serve-infer`` daemon;
-``REPRO_INFER_BATCH_MS``  micro-batch collection window of
-                      ``serve-infer`` in milliseconds (default 5).
+``REPRO_INFER_BATCH_MS``  extra wait of ``serve-infer``'s batcher for
+                      stragglers, in milliseconds (default 0: take
+                      what is queued, wait for nothing).
 """
 
 from __future__ import annotations
@@ -232,13 +233,14 @@ def _cmd_serve_infer(args: argparse.Namespace) -> int:
     import os
     import signal
 
-    from .serving.infer_server import InferServer
+    from .serving.infer_server import InferServer, resolve_batch_ms
     from .serving.protocol import (DEFAULT_INFER_PORT, ENV_INFER_ADDR,
                                    parse_addr)
     from .zoo.builders import BUILDERS
 
     host, port = parse_addr(args.addr or os.environ.get(ENV_INFER_ADDR),
                             DEFAULT_INFER_PORT)
+    batch_ms = resolve_batch_ms(args.batch_ms)  # refuse before fitting
     names = args.model or ["vit"]
     unknown = [n for n in names if n not in BUILDERS]
     if unknown:
@@ -264,11 +266,10 @@ def _cmd_serve_infer(args: argparse.Namespace) -> int:
                   + (f", PWL @{args.pwl}" if args.pwl else "") + ")",
                   flush=True)
     server = InferServer(programs, host=host, port=port,
-                         batch_ms=args.batch_ms, batch_cap=args.batch_cap,
+                         batch_ms=batch_ms, batch_cap=args.batch_cap,
                          max_queue=args.max_queue)
     print(f"repro serve-infer: serving {sorted(programs)} at "
-          f"http://{server.addr}  (batch window "
-          f"{server.app.runners[names[0]].batch_ms:g}ms, "
+          f"http://{server.addr}  (batch window {batch_ms:g}ms, "
           f"cap {args.batch_cap})", flush=True)
 
     def _terminate(signum, frame):  # pragma: no cover - signal path
@@ -521,12 +522,12 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         return 2
     graph = builder(act=args.act, scale=args.scale, seed=args.seed)
     session = _session_from_args(args)
-    passes = ([p for p in args.passes.split(",") if p]
-              if args.passes is not None else None)
-    optimize = not args.no_opt
+    if args.passes is not None:
+        passes = [p for p in args.passes.split(",") if p]
+    else:
+        passes = [] if args.no_opt else None
     program = session.compile(graph, batch_size=args.batch,
-                              n_breakpoints=args.pwl,
-                              optimize=optimize, passes=passes)
+                              n_breakpoints=args.pwl, passes=passes)
     # Static pricing: no forward pass behind either of these.
     record = program_to_record(program, name=graph.name, family=args.model)
     prof = program.profile
@@ -539,7 +540,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             "arena_slots": program.n_slots,
             "batch_size": program.batch_size,
             "pwl_breakpoints": args.pwl,
-            "optimize": optimize,
+            "optimize": not args.no_opt,
             "passes": [r.name for r in reports],
             "pass_reports": [r.to_dict() for r in reports],
             "macs": prof.total_macs,
@@ -557,14 +558,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             } for cn in program.nodes]
         print(json.dumps(payload, indent=2))
         return 0
-    pwl_nodes = sum(1 for cn in program.nodes
-                    if cn.attrs.get("impl") == "pwl")
-    pwl_nodes += sum(1 for cn in program.nodes if cn.op_type == "fused"
-                     for step in cn.attrs.get("steps", ())
-                     if step.get("attrs", {}).get("impl") == "pwl")
     print(f"{graph.name}: compiled {len(program.nodes)} nodes into "
           f"{program.n_slots} arena slots (batch {program.batch_size}"
-          + (f", {pwl_nodes} PWL kernels at {args.pwl} breakpoints"
+          + (f", {program.n_pwl_kernels} PWL kernels at {args.pwl} "
+             f"breakpoints"
              if args.pwl else "") + ")")
     print(f"  static profile: {prof.total_macs:,} MACs   "
           f"{prof.total_vector_ops:,} vector ops   "
@@ -683,7 +680,7 @@ def _profile_one(args: argparse.Namespace, model: str):
     session = _session_from_args(args)
     program = session.compile(graph, batch_size=args.batch,
                               n_breakpoints=args.pwl,
-                              optimize=getattr(args, "opt", False))
+                              passes=[] if args.no_opt else None)
     feeds = _profile_feeds(graph, args.batch, args.seed)
     _, runtime = program.run_timed(feeds, repeats=args.repeats)
     comparison = (compare_profiles(program.profile, runtime)
@@ -1046,8 +1043,11 @@ def build_parser() -> argparse.ArgumentParser:
                                help="fit the PWLs with the quick preset "
                                     "(faster startup, benchmark fidelity)")
     p_serve_infer.add_argument("--batch-ms", type=float, default=None,
-                               help="micro-batch window in milliseconds "
-                                    "(default: $REPRO_INFER_BATCH_MS or 5)")
+                               help="after draining the queue, wait this "
+                                    "many milliseconds for more requests "
+                                    "to fuse; pays only for models bound "
+                                    "by per-call overhead (default: "
+                                    "$REPRO_INFER_BATCH_MS or 0)")
     p_serve_infer.add_argument("--batch-cap", type=int, default=32,
                                help="max requests fused per batch "
                                     "(default: 32)")
@@ -1188,9 +1188,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--pwl", type=int, default=None, metavar="N",
                            help="rewrite activations to N-breakpoint PWLs "
                                 "(fitted through the session) first")
-    p_profile.add_argument("--opt", action="store_true",
-                           help="run the optimization pipeline before "
-                                "profiling; prints one static-profile "
+    p_profile.add_argument("--no-opt", action="store_true",
+                           help="profile the graph as written; by "
+                                "default the optimization pipeline runs "
+                                "first and prints one static-profile "
                                 "delta line per pass")
     p_profile.add_argument("--compare-static", action="store_true",
                            help="align the runtime profile with the "

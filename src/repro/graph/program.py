@@ -638,6 +638,16 @@ class Program:
         return self._n_slots
 
     @property
+    def n_pwl_kernels(self) -> int:
+        """PWL activation/softmax kernels baked into the plan, counting
+        the steps inside fused records."""
+        return sum(1 for cn in self.nodes
+                   for attrs in ([s.get("attrs", {}) for s in
+                                  _fused_steps(cn.attrs)]
+                                 if cn.op_type == "fused" else [cn.attrs])
+                   if attrs.get("impl") == "pwl")
+
+    @property
     def profile(self) -> GraphProfile:
         """Static cost profile at the compiled batch size (no execution)."""
         if self._static_profile is None:

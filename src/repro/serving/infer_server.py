@@ -5,9 +5,13 @@ many requests into one fused pass) only materialises when *one
 process* sees many concurrent requests; this daemon is that process.
 Per model it holds one compiled :class:`~repro.graph.program.Program`
 and one :class:`ModelRunner` — a bounded queue plus a batcher thread
-that collects requests for up to ``batch_ms`` milliseconds (or until
-``batch_cap`` requests are waiting), fuses them through ``run_many``,
-and splits the outputs back to the blocked HTTP handler threads.
+that takes the first waiting request and then every request already
+queued behind it (up to ``batch_cap``), fuses them through
+``run_many``, and splits the outputs back to the blocked HTTP handler
+threads.  Under load, requests pile up while the previous batch runs,
+so batches form without a timed wait; an explicit ``batch_ms`` window
+additionally waits that long for stragglers, which pays only for
+models whose cost is per call rather than per sample.
 
 Admission is per request: a request whose feeds could not be stacked
 (a missing input, wrong trailing dims, inputs disagreeing on their
@@ -17,11 +21,12 @@ not a bool/int/float array document or whose floats hold NaN or
 infinity (``bad-request``).
 
 Backpressure is explicit: a full queue answers **429** with a
-``Retry-After`` of one batch window, so synchronized clients back off
-(jittered by their :class:`~repro.service.retry.RetryPolicy`) instead
-of piling threads onto a saturated server.  Every fused batch runs
-under an ``infer.batch`` tracing span and lands on the batch-size /
-occupancy / latency histograms exposed at ``/metrics``.
+``Retry-After`` of one batch window, at least 10 ms, so synchronized
+clients back off (jittered by their
+:class:`~repro.service.retry.RetryPolicy`) instead of piling threads
+onto a saturated server.  Every fused batch runs under an
+``infer.batch`` tracing span and lands on the batch-size / occupancy /
+latency histograms exposed at ``/metrics``.
 """
 
 from __future__ import annotations
@@ -45,26 +50,36 @@ from .protocol import (DEFAULT_HOST, DEFAULT_INFER_PORT, ENV_INFER_BATCH_MS,
                        decode_array, encode_array, error_doc)
 
 #: Micro-batch window when neither the constructor nor
-#: :data:`ENV_INFER_BATCH_MS` says otherwise.
-DEFAULT_BATCH_MS = 5.0
+#: :data:`ENV_INFER_BATCH_MS` says otherwise: drain what is queued,
+#: wait for nothing more.
+DEFAULT_BATCH_MS = 0.0
+
+#: Seconds a handler waits for its batch before answering 504.
+DEFAULT_REQUEST_TIMEOUT_S = 60.0
+
+#: Widest accepted window: a wider one would time out every request it
+#: holds (and past ``threading.TIMEOUT_MAX`` kill the batcher thread).
+MAX_BATCH_MS = 1000.0 * DEFAULT_REQUEST_TIMEOUT_S
 
 
 def resolve_batch_ms(batch_ms: Optional[float] = None) -> float:
-    """Explicit argument > ``REPRO_INFER_BATCH_MS`` > default."""
+    """Explicit argument > ``REPRO_INFER_BATCH_MS`` > default; whichever
+    is given must be a finite window of 0 to :data:`MAX_BATCH_MS`."""
     if batch_ms is not None:
-        return float(batch_ms)
-    text = os.environ.get(ENV_INFER_BATCH_MS)
-    if text:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ServiceError(f"{ENV_INFER_BATCH_MS}={text!r} is not "
-                               f"a number") from None
-        if value < 0:
-            raise ServiceError(f"{ENV_INFER_BATCH_MS} must be >= 0, "
-                               f"got {value}")
-        return value
-    return DEFAULT_BATCH_MS
+        source, text = "batch_ms", batch_ms
+    else:
+        text = os.environ.get(ENV_INFER_BATCH_MS)
+        if not text:
+            return DEFAULT_BATCH_MS
+        source = ENV_INFER_BATCH_MS
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        raise ServiceError(f"{source}={text!r} is not a number") from None
+    if not 0.0 <= value <= MAX_BATCH_MS:  # NaN fails both comparisons
+        raise ServiceError(f"{source} must be a window of 0 to "
+                           f"{MAX_BATCH_MS:g} ms, got {value}")
+    return value
 
 
 class _Pending:
@@ -94,6 +109,11 @@ class ModelRunner:
     def __init__(self, model: str, program: Program,
                  batch_ms: Optional[float] = None, batch_cap: int = 32,
                  max_queue: int = 128) -> None:
+        # ``queue.Queue(maxsize=0)`` is unbounded: no 429 would ever fire.
+        for name, value in (("batch_cap", batch_cap),
+                            ("max_queue", max_queue)):
+            if value < 1:
+                raise ServiceError(f"{name} must be >= 1, got {value}")
         self.model = model
         self.program = program
         self.batch_ms = resolve_batch_ms(batch_ms)
@@ -121,7 +141,9 @@ class ModelRunner:
         return pending
 
     def _collect(self) -> List[_Pending]:
-        """Block for the first request, then fill the window."""
+        """Block for the first request, then take everything already
+        queued up to ``batch_cap``, waiting for more only while the
+        ``batch_ms`` window is open."""
         try:
             first = self.queue.get(timeout=0.1)
         except queue_mod.Empty:
@@ -129,11 +151,9 @@ class ModelRunner:
         batch = [first]
         deadline = clock.mono() + self.batch_ms / 1000.0
         while len(batch) < self.batch_cap:
-            remaining = deadline - clock.mono()
-            if remaining <= 0:
-                break
             try:
-                batch.append(self.queue.get(timeout=remaining))
+                batch.append(self.queue.get(
+                    timeout=max(deadline - clock.mono(), 0.0)))
             except queue_mod.Empty:
                 break
         return batch
@@ -205,7 +225,8 @@ class InferApp(ServingApp):
     def __init__(self, programs: Dict[str, Program],
                  batch_ms: Optional[float] = None, batch_cap: int = 32,
                  max_queue: int = 128,
-                 request_timeout_s: float = 60.0) -> None:
+                 request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S
+                 ) -> None:
         self.request_timeout_s = request_timeout_s
         self.runners = {
             name: ModelRunner(name, program, batch_ms=batch_ms,
@@ -291,7 +312,8 @@ class InferServer:
                  host: str = DEFAULT_HOST, port: int = DEFAULT_INFER_PORT,
                  batch_ms: Optional[float] = None, batch_cap: int = 32,
                  max_queue: int = 128,
-                 request_timeout_s: float = 60.0) -> None:
+                 request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S
+                 ) -> None:
         self.app = InferApp(programs, batch_ms=batch_ms,
                             batch_cap=batch_cap, max_queue=max_queue,
                             request_timeout_s=request_timeout_s)
@@ -328,5 +350,5 @@ class InferServer:
         self.close()
 
 
-__all__ = ["DEFAULT_BATCH_MS", "InferApp", "InferServer", "ModelRunner",
-           "resolve_batch_ms"]
+__all__ = ["DEFAULT_BATCH_MS", "DEFAULT_REQUEST_TIMEOUT_S", "InferApp",
+           "InferServer", "MAX_BATCH_MS", "ModelRunner", "resolve_batch_ms"]

@@ -132,8 +132,7 @@ class TestServeInferEndToEnd:
         from repro.zoo.builders import BUILDERS
         cmd = [sys.executable, "-m", "repro", "serve-infer",
                "--model", "generic_cnn", "--addr", "127.0.0.1:0",
-               "--quick", "--pwl", "4", "--scale", "0.25",
-               "--batch-ms", "5"]
+               "--quick", "--pwl", "4", "--scale", "0.25"]
         proc = subprocess.Popen(cmd, env=_env(tmp_path / "cachehome"),
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.STDOUT, text=True)

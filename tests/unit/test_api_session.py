@@ -9,6 +9,8 @@ from repro.core.batchfit import BatchFitter, FitCache, fit_cache_key
 from repro.core.fit import FitConfig
 from repro.errors import FitError
 from repro.functions import SIGMOID, TANH
+from repro.graph.executor import interpret
+from repro.graph.opt import DEFAULT_PASSES
 
 _TINY = FitConfig(n_breakpoints=4, max_steps=40, refine_steps=20,
                   max_refine_rounds=1, polish_maxiter=60, grid_points=256)
@@ -78,6 +80,44 @@ class TestSessionBasics:
         with pytest.raises(FitError):
             create_engine("quantum")
         assert "auto" in ENGINE_NAMES
+
+
+class TestCompile:
+    """``Session.compile`` optimizes unless told ``passes=[]``."""
+
+    def test_pass_settings_keep_interpret_bits(self, tmp_path,
+                                               tiny_cnn_graph, rng):
+        with Session(engine="inline", cache=tmp_path) as s:
+            default = s.compile(tiny_cnn_graph)
+            plain = s.compile(tiny_cnn_graph, passes=[])
+            fused = s.compile(tiny_cnn_graph, passes=["fuse-kernels"])
+        assert ([r.name for r in default.pass_reports]
+                == list(DEFAULT_PASSES))
+        assert len(default.nodes) < len(plain.nodes)
+        assert plain.pass_reports == []
+        assert [r.name for r in fused.pass_reports] == ["fuse-kernels"]
+        feeds = {"x": rng.normal(size=(1, 3, 8, 8))}
+        want = interpret(tiny_cnn_graph, feeds)
+        for program in (default, plain, fused):
+            got = program.run(feeds)
+            for name in tiny_cnn_graph.outputs:
+                assert np.array_equal(got[name], want[name])
+
+    def test_optimize_flag_is_gone(self, tmp_path, tiny_cnn_graph):
+        with Session(engine="inline", cache=tmp_path) as s:
+            with pytest.raises(TypeError):
+                s.compile(tiny_cnn_graph, optimize=True)
+
+    def test_fused_pwl_kernels_are_counted(self, tmp_path, tiny_cnn_graph):
+        with Session(engine="inline", cache=tmp_path) as s:
+            default = s.compile(tiny_cnn_graph, n_breakpoints=4,
+                                config=_TINY)
+            plain = s.compile(tiny_cnn_graph, n_breakpoints=4,
+                              config=_TINY, passes=[])
+        # The default plan fuses the PWL into its producer's record.
+        assert not any(cn.attrs.get("impl") == "pwl"
+                       for cn in default.nodes)
+        assert default.n_pwl_kernels == plain.n_pwl_kernels == 1
 
 
 class TestEngineResolution:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.graph.opt import DEFAULT_PASSES
 
 
 class TestParser:
@@ -116,6 +117,21 @@ class TestCompileCommand:
                      "--scale", "0.25", "--pwl", "4", "--engine", "inline",
                      "--cache-dir", str(tmp_path)]) == 0
         assert "PWL kernels at 4 breakpoints" in capsys.readouterr().out
+
+
+class TestServeInferCommand:
+    @pytest.mark.parametrize("window", ["-5", "inf", "nan"])
+    def test_bad_window_is_refused_before_compiling(self, window,
+                                                    monkeypatch):
+        from repro.errors import ServiceError
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before checking --batch-ms")
+
+        monkeypatch.setattr("repro.api.Session.compile", no_compile)
+        with pytest.raises(ServiceError, match="batch_ms"):
+            main(["serve-infer", "--addr", "127.0.0.1:0",
+                  "--batch-ms", window])
 
 
 class TestServeCommand:
@@ -237,6 +253,21 @@ class TestProfileCommand:
         assert len(doc["comparison"]["nodes"]) == doc["nodes"]
         assert doc["comparison"]["total_observed_s"] > 0
         assert "ratio_histogram_log2" in doc["comparison"]
+
+    def test_optimizes_unless_told_no_opt(self, capsys):
+        argv = ["profile", "vit", "--scale", "0.25", "--repeats", "1",
+                "--compare-static", "--json"]
+        docs = []
+        for extra in ([], ["--no-opt"]):
+            assert main(argv + extra) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        opt, plain = docs
+        assert ([r["pass"] for r in opt["pass_reports"]]
+                == list(DEFAULT_PASSES))
+        assert "pass_reports" not in plain
+        assert opt["nodes"] < plain["nodes"]
+        for doc in docs:
+            assert len(doc["comparison"]["nodes"]) == doc["nodes"]
 
     def test_pwl_with_capture_writes_histograms(self, capsys, tmp_path):
         hist_path = tmp_path / "hist.json"

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.diagnostics import DiagnosticError
+from repro.errors import ServiceError
 from repro.graph.builder import GraphBuilder
 from repro.graph.ir import Graph, Node
 from repro.graph.program import compile_graph
 from repro.serving.client import ServerError, ServingClient
-from repro.serving.infer_server import (DEFAULT_BATCH_MS, InferApp,
-                                        InferServer, ModelRunner,
+from repro.serving.infer_server import (DEFAULT_BATCH_MS, MAX_BATCH_MS,
+                                        InferApp, InferServer, ModelRunner,
                                         resolve_batch_ms)
 from repro.serving.protocol import (ENV_INFER_BATCH_MS, PROTOCOL_VERSION,
                                     ROUTE_INFER, decode_array,
@@ -42,12 +43,25 @@ class TestResolveBatchMs:
         monkeypatch.delenv(ENV_INFER_BATCH_MS, raising=False)
         assert resolve_batch_ms() == DEFAULT_BATCH_MS
 
-    @pytest.mark.parametrize("bad", ["fast", "-3"])
+    @pytest.mark.parametrize("bad", ["fast", "-3", "inf", "nan", "1e13"])
     def test_malformed_env_fails_loudly(self, monkeypatch, bad):
-        from repro.errors import ServiceError
         monkeypatch.setenv(ENV_INFER_BATCH_MS, bad)
         with pytest.raises(ServiceError, match=ENV_INFER_BATCH_MS):
             resolve_batch_ms()
+
+    @pytest.mark.parametrize("bad", [-5.0, float("inf"), float("nan"),
+                                     MAX_BATCH_MS * 2, "soon"])
+    def test_bad_explicit_window_fails_loudly(self, monkeypatch, bad):
+        monkeypatch.setenv(ENV_INFER_BATCH_MS, "5")
+        with pytest.raises(ServiceError, match="batch_ms"):
+            resolve_batch_ms(bad)
+        _, prog = _tiny_program()
+        with pytest.raises(ServiceError, match="batch_ms"):
+            ModelRunner("tiny", prog, batch_ms=bad)
+
+    def test_window_bounds_are_inclusive(self):
+        assert resolve_batch_ms(0) == 0.0
+        assert resolve_batch_ms(MAX_BATCH_MS) == MAX_BATCH_MS
 
 
 class TestModelRunnerBatching:
@@ -86,6 +100,13 @@ class TestModelRunnerBatching:
         finally:
             runner.stop()
 
+    @pytest.mark.parametrize("size", ["batch_cap", "max_queue"])
+    def test_sizes_below_one_are_refused(self, size):
+        # max_queue=0 would build an unbounded queue: no 429, ever.
+        _, prog = _tiny_program()
+        with pytest.raises(ServiceError, match=size):
+            ModelRunner("tiny", prog, **{size: 0})
+
     def test_status_names_io(self):
         _, prog = _tiny_program()
         runner = ModelRunner("tiny", prog, batch_ms=1.0)
@@ -98,12 +119,59 @@ class TestModelRunnerBatching:
             runner.stop()
 
     def test_submit_after_stop_raises(self, rng):
-        from repro.errors import ServiceError
         _, prog = _tiny_program()
         runner = ModelRunner("tiny", prog, batch_ms=1.0)
         runner.stop()
         with pytest.raises(ServiceError, match="shutting down"):
             runner.submit({"x": rng.normal(size=(1, 16))})
+
+
+class TestGreedyDrain:
+    """With no window the batcher still fuses whatever is queued.
+
+    ``run_many`` is gated so the first request holds the batcher while
+    four more queue up behind it: no wall-clock window decides what
+    lands in which batch.
+    """
+
+    def _drain(self, rng, monkeypatch, batch_cap):
+        graph, prog = _tiny_program()
+        entered, release = threading.Event(), threading.Event()
+        run_many = prog.run_many
+
+        def gated(feeds_seq):
+            entered.set()
+            release.wait(30.0)
+            return run_many(feeds_seq)
+
+        monkeypatch.setattr(prog, "run_many", gated)
+        runner = ModelRunner("tiny", prog, batch_ms=0.0,
+                             batch_cap=batch_cap)
+        feeds = [{"x": rng.normal(size=(1, 16))} for _ in range(5)]
+        try:
+            pending = [runner.submit(feeds[0])]
+            assert entered.wait(30.0), "batcher never ran the first request"
+            pending += [runner.submit(f) for f in feeds[1:]]
+            release.set()
+            for p in pending:
+                assert p.event.wait(30.0), "batcher never answered"
+                assert p.error is None
+        finally:
+            release.set()
+            runner.stop()
+        assert not runner._thread.is_alive()  # its counters are final
+        name = graph.outputs[0]
+        for p, f in zip(pending, feeds):
+            assert np.allclose(p.outputs[name], prog.run(f)[name],
+                               rtol=1e-10, atol=1e-12)
+        assert runner.requests == 5
+        return runner.batches
+
+    def test_queued_requests_fuse_at_window_zero(self, rng, monkeypatch):
+        assert self._drain(rng, monkeypatch, batch_cap=32) == 2
+
+    def test_drain_stops_at_the_cap(self, rng, monkeypatch):
+        assert self._drain(rng, monkeypatch, batch_cap=2) == 3
 
 
 class TestInferApp:
