@@ -21,8 +21,13 @@ relative (stacked — BLAS batching may re-block reductions) against the
 seed path before any timing is trusted.
 
 The machine-readable summary lands in ``results/BENCH_graph_exec.json``.
+
+``test_conv_kernel_throughput`` gates conv2d on zoo-batch's three
+dominant shapes against the einsum conv it replaced, kept here as a
+reference; its summary lands in ``results/BENCH_conv.json``.
 """
 
+import os
 import time
 
 import numpy as np
@@ -96,6 +101,40 @@ class _SeedExecutor:
             for value_name, arr in zip(node.outputs, outputs):
                 values[value_name] = arr
         return {name: values[name] for name in self.graph.outputs}
+
+
+def _einsum_conv2d(inputs, attrs):
+    """The im2col + ``np.einsum`` conv2d the BLAS paths replaced,
+    reproduced verbatim but for its channel check (the timed shapes
+    pass it).  numpy lowers the einsum to one batched matmul over the
+    group index: it copies the im2col array into group-major order,
+    runs one GEMM per group over every sample's pixels and transposes
+    the result back."""
+    x, w = inputs[0], inputs[1]
+    b = inputs[2] if len(inputs) > 2 else None
+    stride = int(attrs.get("stride", 1))
+    padding = int(attrs.get("padding", 0))
+    groups = int(attrs.get("groups", 1))
+    n, c, h, width = x.shape
+    c_out, c_in_g, kh, kw = w.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    h_p, w_p = x.shape[2], x.shape[3]
+    h_out = (h_p - kh) // stride + 1
+    w_out = (w_p - kw) // stride + 1
+    # im2col: gather kh*kw shifted views (kernels are small).
+    cols = np.empty((n, c, kh * kw, h_out, w_out), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i * kw + j] = x[:, :, i:i + h_out * stride:stride,
+                                       j:j + w_out * stride:stride]
+    cols = cols.reshape(n, groups, c_in_g * kh * kw, h_out * w_out)
+    wg = w.reshape(groups, c_out // groups, c_in_g * kh * kw)
+    out = np.einsum("ngkp,gok->ngop", cols, wg, optimize=True)
+    out = out.reshape(n, c_out, h_out, w_out)
+    if b is not None:
+        out = out + b.reshape(1, -1, 1, 1)
+    return [out]
 
 
 def _seed_approximators(approx):
@@ -298,6 +337,83 @@ def test_optimized_pipeline_throughput(report_writer, json_report_writer,
     assert speedup >= floor, (
         f"optimized stacked serving {speedup:.2f}x below the "
         f"{floor:.1f}x gate vs the PR-5 compiled baseline")
+
+
+# --------------------------------------------------------------------- #
+# Conv kernels vs the einsum conv
+# --------------------------------------------------------------------- #
+#: The three conv shapes that dominate zoo-batch (64-sample batches of
+#: Table III's models): label, input shape, weight shape, attrs, and
+#: which speedup floor gates it (None: reported only).
+_CONV_SHAPES = [
+    ("resnet 3x3 24->24", (64, 24, 16, 16), (24, 24, 3, 3),
+     {"stride": 1, "padding": 1, "groups": 1}, "dense"),
+    ("mobilenet depthwise 96-ch 3x3", (64, 96, 16, 16), (96, 1, 3, 3),
+     {"stride": 1, "padding": 1, "groups": 96}, "depthwise"),
+    ("1x1 96->32", (64, 96, 16, 16), (32, 96, 1, 1),
+     {"stride": 1, "padding": 0, "groups": 1}, None),
+]
+
+
+def test_conv_kernel_throughput(report_writer, json_report_writer,
+                                bench_quick):
+    """conv2d's BLAS paths against the einsum conv they replaced.
+
+    Each shape times the two kernels in alternating pairs (which goes
+    first flips every pair) and gates on the median of the paired
+    ratios, so drift in CPU speed cancels within a pair.  Outputs must
+    agree to 1e-12 relative before any timing is trusted: the
+    depthwise tap sum adds in a different order than a GEMM.
+    """
+    if bench_quick:
+        pairs, floors = 5, {"dense": 1.5, "depthwise": 1.5}
+    else:
+        pairs, floors = 15, {"dense": 1.8, "depthwise": 1.8}
+    conv = get_op("conv2d").execute
+    rng = np.random.default_rng(0)
+
+    results, rows = [], []
+    for label, x_shape, w_shape, attrs, gate in _CONV_SHAPES:
+        inputs = [rng.standard_normal(x_shape), rng.standard_normal(w_shape),
+                  rng.standard_normal(w_shape[0])]
+        ref = _einsum_conv2d(inputs, attrs)[0]
+        got = conv(inputs, attrs)[0]
+        max_rel = float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+        assert max_rel <= 1e-12, f"{label}: conv drifted {max_rel:.3e}"
+
+        times = {"einsum": [], "blas": []}
+        for i in range(pairs):
+            order = [("einsum", _einsum_conv2d), ("blas", conv)]
+            for name, fn in order[::-1] if i % 2 else order:
+                t0 = time.perf_counter()
+                fn(inputs, attrs)
+                times[name].append(time.perf_counter() - t0)
+        speedup = float(np.median(np.divide(times["einsum"], times["blas"])))
+        results.append({
+            "shape": label, "input": list(x_shape), "weight": list(w_shape),
+            "attrs": attrs, "pairs": pairs,
+            "einsum_median_s": float(np.median(times["einsum"])),
+            "blas_median_s": float(np.median(times["blas"])),
+            "speedup": speedup, "max_rel_diff": max_rel,
+            "gate": gate, "floor": floors.get(gate)})
+        rows.append([label, f"{np.median(times['einsum']) * 1e3:.2f}",
+                     f"{np.median(times['blas']) * 1e3:.2f}",
+                     fmt_ratio(speedup),
+                     f"{floors[gate]:.1f}x" if gate else "-"])
+
+    report_writer("conv_kernel_throughput", format_table(
+        ["shape", "einsum ms", "BLAS ms", "speedup", "floor"], rows,
+        title=f"conv2d kernels at batch 64 (median of {pairs} "
+              f"alternating pairs)"))
+    json_report_writer("BENCH_conv", {
+        "shapes": results, "quick": bench_quick, "cpus": os.cpu_count(),
+        "numpy": np.__version__})
+
+    for r in results:
+        if r["gate"]:
+            assert r["speedup"] >= r["floor"], (
+                f"{r['shape']}: conv2d {r['speedup']:.2f}x below the "
+                f"{r['floor']:.1f}x gate vs the einsum conv")
 
 
 # --------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..analysis.diagnostics import fail
 from ..errors import GraphError
@@ -114,6 +115,28 @@ def _elements(shape: Shape) -> int:
 # conv2d
 # --------------------------------------------------------------------- #
 def _exec_conv2d(inputs: List[np.ndarray], attrs: Dict[str, Any]) -> List[np.ndarray]:
+    """2-D convolution (NCHW input, OIHW weight, optional bias).
+
+    Three paths over one view of every window, ``win[n, c, y, x, i, j]``:
+
+    * dense and grouped convs copy the windows into an im2col array
+      and run one BLAS GEMM per (sample, group) through ``np.matmul``;
+    * 1x1 stride-1 convs gather nothing: their windows are the (padded)
+      input itself, so the copy to a contiguous array is a no-op for a
+      C-contiguous input;
+    * depthwise convs (one input and one output channel per group)
+      never build the im2col array: each sample sums its ``kh*kw``
+      taps, ``w[:, tap] * window[..., i, j]``, into the output through
+      one scratch buffer.  A channel multiplier (``c_out`` a larger
+      multiple of ``groups``) takes the dense path.
+
+    Every output reads only its own window, so a non-finite input
+    pixel reaches exactly the outputs whose window covers it (a banded
+    matrix product would multiply out-of-window inputs by 0, and
+    ``inf * 0`` is NaN).  Each sample's output comes from the same
+    calls whatever the batch, so it does not depend on what the sample
+    is batched with.
+    """
     x, w = inputs[0], inputs[1]
     b = inputs[2] if len(inputs) > 2 else None
     stride = int(attrs.get("stride", 1))
@@ -127,21 +150,27 @@ def _exec_conv2d(inputs: List[np.ndarray], attrs: Dict[str, Any]) -> List[np.nda
         )
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h_p, w_p = x.shape[2], x.shape[3]
-    h_out = (h_p - kh) // stride + 1
-    w_out = (w_p - kw) // stride + 1
-    # im2col: gather kh*kw shifted views (kernels are small).
-    cols = np.empty((n, c, kh * kw, h_out, w_out), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i * kw + j] = x[:, :, i:i + h_out * stride:stride,
-                                       j:j + w_out * stride:stride]
-    cols = cols.reshape(n, groups, c_in_g * kh * kw, h_out * w_out)
-    wg = w.reshape(groups, c_out // groups, c_in_g * kh * kw)
-    out = np.einsum("ngkp,gok->ngop", cols, wg, optimize=True)
-    out = out.reshape(n, c_out, h_out, w_out)
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    h_out, w_out = win.shape[2:4]
+    if c_in_g == 1 and c_out == groups:
+        out = np.empty((n, c_out, h_out, w_out), dtype=np.result_type(x, w))
+        scratch = np.empty(out.shape[1:], dtype=out.dtype)
+        taps = w.reshape(c_out, kh * kw, 1, 1)
+        for s in range(n):
+            acc = out[s]
+            np.multiply(taps[:, 0], win[s, ..., 0, 0], out=acc)
+            for t in range(1, kh * kw):
+                np.multiply(taps[:, t], win[s, ..., t // kw, t % kw],
+                            out=scratch)
+                acc += scratch
+    else:
+        cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+        cols = cols.reshape(n, groups, c_in_g * kh * kw, h_out * w_out)
+        out = np.matmul(w.reshape(groups, c_out // groups, -1), cols)
+        out = out.reshape(n, c_out, h_out, w_out)
     if b is not None:
-        out = out + b.reshape(1, -1, 1, 1)
+        out += b.reshape(1, -1, 1, 1)
     return [out]
 
 
@@ -475,10 +504,20 @@ def _shape_conv2d(in_shapes: List[Shape], attrs: Dict[str, Any]) -> List[Shape]:
     stride = int(attrs.get("stride", 1))
     padding = int(attrs.get("padding", 0))
     groups = int(attrs.get("groups", 1))
+    if stride < 1 or padding < 0 or groups < 1:
+        raise GraphError(
+            f"conv2d needs stride >= 1, padding >= 0 and groups >= 1, got "
+            f"stride {stride}, padding {padding}, groups {groups}")
     if c != c_in_g * groups:
         raise GraphError(
             f"conv2d channel mismatch: input {c}, weight {c_in_g}x{groups} groups"
         )
+    if c_out % groups:
+        raise GraphError(
+            f"conv2d output channels {c_out} do not split into {groups} groups")
+    if len(in_shapes) > 2 and tuple(in_shapes[2]) != (c_out,):
+        raise GraphError(
+            f"conv2d bias shape {tuple(in_shapes[2])} is not ({c_out},)")
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
     if h_out < 1 or w_out < 1:
@@ -493,6 +532,9 @@ def _shape_linear(in_shapes: List[Shape], attrs: Dict[str, Any]) -> List[Shape]:
     x, w = in_shapes[0], in_shapes[1]
     if not x or x[-1] != w[0]:
         raise GraphError(f"linear contraction mismatch: {x} @ {w}")
+    if len(in_shapes) > 2 and tuple(in_shapes[2]) != (w[1],):
+        raise GraphError(
+            f"linear bias shape {tuple(in_shapes[2])} is not ({w[1]},)")
     return [x[:-1] + (w[1],)]
 
 

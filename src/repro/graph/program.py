@@ -213,9 +213,9 @@ def _segment_lookup(breakpoints: np.ndarray, x: np.ndarray) -> np.ndarray:
     ``r`` is allocated C-contiguous explicitly: ``searchsorted``
     always returns a C array, so the baseline ``m[r]`` is C-ordered —
     but ufunc comparisons follow the *input's* memory order, and a
-    strided ``x`` (e.g. a transposed conv output) would otherwise leak
-    its layout through ``m[r]`` into downstream BLAS calls, which
-    round differently per layout.
+    strided ``x`` (e.g. the output of a ``transpose`` op) would
+    otherwise leak its layout through ``m[r]`` into downstream BLAS
+    calls, which round differently per layout.
 
     Small arrays take ``searchsorted`` outright: the comparison count
     pays one ufunc dispatch per breakpoint, which only amortizes once

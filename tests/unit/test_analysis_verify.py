@@ -43,6 +43,44 @@ def mlp():
     return g.graph
 
 
+def one_layer(kind, c_out=4, **kw):
+    """x -> one conv2d (4 channels in, 8x8) or one linear (4 -> 2)."""
+    g = GraphBuilder(f"toy_{kind}", seed=0)
+    if kind == "conv":
+        y = g.conv2d(g.input("x", (0, 4, 8, 8)), 4, c_out, **kw)
+    else:
+        y = g.linear(g.input("x", (0, 4)), 4, 2)
+    g.output(y)
+    return g.graph
+
+
+def with_attrs(graph, **attrs):
+    graph.nodes[0].attrs.update(attrs)
+    return graph
+
+
+def with_bias(graph, length):
+    graph.initializers[graph.nodes[0].inputs[2]] = np.zeros(length)
+    return graph
+
+
+#: Layers whose shapes pass a naive rule but whose kernels raise or
+#: silently broadcast at run time.
+UNRUNNABLE_LAYERS = {
+    "conv-c_out-not-split-by-groups": lambda: one_layer("conv", c_out=3,
+                                                        groups=2),
+    "conv-stride-0": lambda: with_attrs(one_layer("conv"), stride=0),
+    "conv-padding-negative": lambda: with_attrs(one_layer("conv"),
+                                                padding=-1),
+    "conv-groups-0": lambda: with_attrs(one_layer("conv"), groups=0),
+    "conv-bias-longer-than-c_out": lambda: with_bias(one_layer("conv"), 5),
+    "conv-bias-of-one": lambda: with_bias(one_layer("conv"), 1),
+    "linear-bias-longer-than-d_out": lambda: with_bias(one_layer("linear"),
+                                                       3),
+    "linear-bias-of-one": lambda: with_bias(one_layer("linear"), 1),
+}
+
+
 @pytest.fixture
 def temp_op():
     """Register a throwaway op for one test; always deregistered."""
@@ -147,6 +185,15 @@ class TestOpAndShapeChecks:
         diags = verify(g)
         hits = [d for d in diags if d.code == "RPR102"]
         assert hits and hits[0].is_error
+
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE_LAYERS))
+    def test_rpr102_layer_its_kernel_cannot_run(self, case):
+        g = UNRUNNABLE_LAYERS[case]()
+        hits = [d for d in verify(g) if d.code in ("RPR102", "RPR105")]
+        assert [d.code for d in hits] == ["RPR102"] and hits[0].is_error
+        with pytest.raises(DiagnosticError) as ei:
+            compile_graph(g)
+        assert ei.value.code == "RPR102"
 
     def test_rpr103_op_without_shape_rule(self, temp_op):
         temp_op("mystery")

@@ -70,6 +70,118 @@ class TestConv2d:
         assert cost.macs == 16 * 8 * 8 * 8 * 3 * 3
 
 
+def _reference_conv(x, w, b, stride, padding, groups):
+    """Direct nested-loop convolution: one window sum per output."""
+    n, c, h, width = x.shape
+    c_out, c_in_g, kh, kw = w.shape
+    per_group = c_out // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (width + 2 * padding - kw) // stride + 1
+    out = np.empty((n, c_out, h_out, w_out))
+    for s in range(n):
+        for o in range(c_out):
+            g = o // per_group
+            for y in range(h_out):
+                for z in range(w_out):
+                    window = xp[s, g * c_in_g:(g + 1) * c_in_g,
+                                y * stride:y * stride + kh,
+                                z * stride:z * stride + kw]
+                    out[s, o, y, z] = np.sum(window * w[o]) + \
+                        (b[o] if b is not None else 0.0)
+    return out
+
+
+#: (groups, c_out) on 4 input channels: dense, grouped, depthwise and a
+#: depthwise channel multiplier of 2.
+_CONV_GROUPINGS = [(1, 6), (2, 6), (4, 4), (4, 8)]
+_CONV_C = 4
+
+
+def _conv_cases(rng, groups, c_out, kernel, stride):
+    """Every padding x image size (odd, even) x bias x input layout
+    (C-contiguous or a transposed view) for one conv configuration."""
+    w = rng.normal(size=(c_out, _CONV_C // groups, kernel, kernel))
+    for padding in (0, 1, 2):
+        for size in (7, 8):
+            for bias in (False, True):
+                for transposed in (False, True):
+                    b = rng.normal(size=c_out) if bias else None
+                    attrs = dict(stride=stride, padding=padding,
+                                 groups=groups)
+                    yield size, transposed, w, b, attrs
+
+
+def _conv_input(rng, n, size, transposed):
+    if transposed:
+        return rng.normal(size=(n, _CONV_C, size, size)).transpose(0, 1, 3, 2)
+    return rng.normal(size=(n, _CONV_C, size, size))
+
+
+def _conv(x, w, b, attrs):
+    return _run("conv2d", [x, w] + ([b] if b is not None else []), **attrs)
+
+
+_CONV_GRID = pytest.mark.parametrize(
+    "groups,c_out,kernel,stride",
+    [(g, co, k, s) for g, co in _CONV_GROUPINGS for k in (1, 3, 4)
+     for s in (1, 2, 4)])
+
+
+class TestConv2dPaths:
+    """The dense, grouped, 1x1 and depthwise paths of conv2d against a
+    direct reference, over padding, bias, image parity and layout."""
+
+    @_CONV_GRID
+    def test_matches_nested_loop_reference(self, rng, groups, c_out,
+                                           kernel, stride):
+        for size, transposed, w, b, attrs in _conv_cases(
+                rng, groups, c_out, kernel, stride):
+            x = _conv_input(rng, 2, size, transposed)
+            assert x.flags.c_contiguous != transposed
+            got = _conv(x, w, b, attrs)
+            ref = _reference_conv(x, w, b, **attrs)
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    @_CONV_GRID
+    def test_sample_output_does_not_depend_on_its_batch(
+            self, rng, groups, c_out, kernel, stride):
+        for size, transposed, w, b, attrs in _conv_cases(
+                rng, groups, c_out, kernel, stride):
+            for n in (2, 3, 8):
+                x = _conv_input(rng, n, size, transposed)
+                batched = _conv(x, w, b, attrs)
+                for i in range(n):
+                    alone = _conv(x[i:i + 1], w, b, attrs)
+                    assert np.array_equal(batched[i:i + 1], alone), (
+                        f"sample {i} of {n} differs alone: size {size}, "
+                        f"{attrs}")
+
+    @_CONV_GRID
+    def test_non_finite_input_stays_in_its_windows(
+            self, rng, groups, c_out, kernel, stride):
+        c_in_g, per_group = _CONV_C // groups, c_out // groups
+        for size, transposed, w, b, attrs in _conv_cases(
+                rng, groups, c_out, kernel, stride):
+            pad = attrs["padding"]
+            for ch, py, px in ((0, 0, 0), (_CONV_C - 1, size // 2, size - 1)):
+                x = _conv_input(rng, 2, size, transposed)
+                x[1, ch, py, px] = np.inf
+                out = _conv(x, w, b, attrs)
+                # First input row/column each output row/column reads.
+                top = np.arange(out.shape[2])[:, None] * stride - pad
+                left = np.arange(out.shape[3])[None, :] * stride - pad
+                covers = ((top <= py) & (py < top + kernel)
+                          & (left <= px) & (px < left + kernel))
+                expected = np.zeros(out.shape, dtype=bool)
+                for o in range(c_out):
+                    if o // per_group == ch // c_in_g:
+                        expected[1, o] = covers
+                assert np.array_equal(~np.isfinite(out), expected), (
+                    f"inf at {(ch, py, px)} leaked: size {size}, {attrs}")
+
+
 class TestLinearMatmul:
     def test_linear(self, rng):
         x = rng.normal(size=(5, 3))
