@@ -1,22 +1,22 @@
-"""Batch-fitting engine: old-vs-new wall time plus scan microbenchmark.
+"""Batch fitting: serial-naive vs pool-engine wall time plus a scan
+microbenchmark.
 
-Two comparisons, matching this PR's acceptance criteria:
+Two comparisons:
 
 * **removal scan** — the naive O(n * grid) per-candidate rebuild vs the
   vectorised ``GridLoss.removal_losses`` (must be >= 5x faster at
   n_breakpoints >= 32, bitwise-matching losses);
-* **end-to-end** — fitting the full activation registry the pre-PR way
-  (serial ``fit_activation`` with the naive scan) vs the
-  ``BatchFitter`` engine (fast scan, process pool on multi-core
-  machines, cold persistent cache), plus a warm all-hits pass.  The new
-  path must be faster with per-function grid MSE equal or better.
+* **end-to-end** — fitting the full activation registry one scalar
+  ``FlexSfuFitter`` run at a time with the naive scan vs a pool-engine
+  ``Session`` (fast scan, process pool on multi-core machines, cold
+  persistent cache), plus a warm all-hits pass.  The Session must be
+  faster with per-function grid MSE equal or better.
 
 A machine-readable timing summary lands in results/bench_batchfit.json
 for the perf trajectory; ``--bench-quick`` shrinks the sweep.
 """
 
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from repro.api import EngineConfig, FitRequest, Session
 from repro.core.batchfit import FitCache
 from repro.core.boundary import BoundarySpec
-from repro.core.fit import FitConfig, fit_activation
+from repro.core.fit import FitConfig, FlexSfuFitter
 from repro.core.loss import GridLoss
 from repro.eval import fmt_ratio, fmt_sci, format_table
 from repro.functions import GELU, registry as fn_registry
@@ -94,14 +94,10 @@ def test_batch_engine_registry(report_writer, json_report_writer, tmp_path,
     cfg_old = replace(cfg_new, removal_scan="naive")
     n_bp = cfg_new.n_breakpoints
 
-    # Pre-PR behaviour: one process, one function at a time, naive
-    # scan (the deprecated path, measured on purpose as the baseline).
+    # Baseline: one process, one scalar fit per function, naive scan.
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        old = {name: fit_activation(fn_registry.get(name), n_bp,
-                                    config=cfg_old)
-               for name in names}
+    old = {name: FlexSfuFitter(cfg_old).fit(fn_registry.get(name))
+           for name in names}
     t_old = time.perf_counter() - t0
 
     # New engine: fast scan, cold persistent cache, pooled when the

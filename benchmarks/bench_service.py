@@ -1,22 +1,17 @@
-"""Fit-service benchmark: shared grids, shared daemon, warm-started refits.
+"""Fit-service benchmark: shared daemon, warm-started refits.
 
-Three comparisons, matching this PR's acceptance criteria:
+Two comparisons:
 
-* **grid setup** — per-job worker setup cost: rebuilding a dense
-  ``GridLoss`` (target evaluation over the full grid) vs mapping the
-  daemon-published shared-memory grid.  The daemon's workers are
-  long-lived, so the steady-state per-job cost is the memoised attach;
-  the one-off first attach and its break-even point are reported too;
 * **daemon sharing** — N client processes with overlapping job sets
-  against one ``FitService`` daemon (single pool, one cache) vs the
-  pre-service topology of N independent ``BatchFitter`` pools with
-  private caches.  The shared path must execute each unique job once
-  instead of N times;
+  against one ``FitService`` daemon (one pool-engine Session, one
+  cache) vs N independent clients, each with its own pool-engine
+  Session and private cache.  The shared path must execute each unique
+  job once instead of N times;
 * **warm starts** — refitting a neighbouring ``FitConfig`` (adjacent
   budget) seeded from the cached PWL vs fitting it cold: fewer
   optimizer steps at equivalent quality.
 
-A machine-readable summary lands in results/bench_service.json.
+Machine-readable summaries land in results/bench_service_*.json.
 """
 
 import multiprocessing
@@ -24,93 +19,16 @@ import threading
 import time
 from dataclasses import replace
 
-import numpy as np
 
 from repro.api import EngineConfig, FitRequest, Session
 from repro.core.batchfit import FitCache
-from repro.core.fit import FitConfig, grid_points_for
-from repro.core.loss import GridLoss
+from repro.core.fit import FitConfig
 from repro.eval import fmt_ratio, fmt_sci, format_table
-from repro.functions import GELU
 from repro.service import FitService, ServiceConfig
-from repro.service import shm as shm_mod
-from repro.service.shm import SharedGridPool, attach_grid
 
 _BENCH_CFG = FitConfig(n_breakpoints=16, init="uniform", polish=False,
                        max_steps=300, refine_steps=100, max_refine_rounds=2,
                        grid_points=4096)
-
-
-def _best_of(fn, repeats):
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def test_shared_grid_setup(report_writer, json_report_writer, bench_quick):
-    """Per-job worker setup: rebuild the GridLoss vs map the shared grid.
-
-    The daemon's pool workers are long-lived (``keep_alive``), so after
-    the first attach of a grid the per-job setup is the memoised lookup;
-    the first attach itself (shm open + weight build, ~0.1ms) is paid
-    once per worker x grid and amortises across every job that reuses
-    the grid — which is the service's whole premise (budget sweeps with
-    ``grid_points`` dominating share one grid per function).
-    """
-    fn = GELU  # registry function: the worker really evaluates erf & co
-    repeats = 3 if bench_quick else 9
-    rows = []
-    summary = {}
-    for n_grid in ((4096, 8192) if bench_quick else (4096, 8192, 32768)):
-        cfg = replace(_BENCH_CFG, grid_points=n_grid)
-        job = FitRequest.create(fn, 16, config=cfg).job
-        a, b = job.config.interval
-        assert grid_points_for(job.config) == n_grid
-
-        with SharedGridPool(prefix="benchgrid") as pool:
-            ref = pool.ref_for(job)
-
-            def rebuild():
-                GridLoss(fn, a, b, n_points=n_grid)
-
-            def first_attach():
-                shm_mod._ATTACHED.clear()  # simulate a fresh worker
-                assert attach_grid(ref) is not None
-
-            def per_job_attach():
-                assert attach_grid(ref) is not None
-
-            t_build = _best_of(rebuild, repeats)
-            t_first = _best_of(first_attach, repeats)
-            t_job = _best_of(per_job_attach, repeats * 3)
-            shm_mod._ATTACHED.clear()
-
-        speedup_per_job = t_build / max(t_job, 1e-9)
-        # Jobs a fresh worker needs before the attach overhead is repaid.
-        break_even = t_first / max(t_build - t_job, 1e-9)
-        rows.append([n_grid, f"{t_build * 1e6:.0f}", f"{t_first * 1e6:.0f}",
-                     f"{t_job * 1e6:.2f}", fmt_ratio(speedup_per_job),
-                     f"{break_even:.1f}"])
-        summary[n_grid] = {
-            "rebuild_us": t_build * 1e6,
-            "first_attach_us": t_first * 1e6,
-            "per_job_attach_us": t_job * 1e6,
-            "speedup_per_job": speedup_per_job,
-            "break_even_jobs": break_even,
-        }
-        # The acceptance bar: mapping must cut per-job setup vs rebuild.
-        assert speedup_per_job > 5.0, (
-            f"per-job shared-grid setup ({t_job * 1e6:.2f}us) not clearly "
-            f"cheaper than rebuild ({t_build * 1e6:.0f}us) at {n_grid}")
-
-    report_writer("service_grid_setup", format_table(
-        ["grid pts", "rebuild us", "1st attach us", "per-job us",
-         "per-job speedup", "break-even jobs"], rows,
-        title="Worker grid setup: local rebuild vs shared-memory attach"))
-    json_report_writer("bench_service_grid_setup", {"grid_setup": summary})
 
 
 def _job_plan(bench_quick):
@@ -163,7 +81,7 @@ def test_daemon_vs_independent_pools(report_writer, json_report_writer,
     plan = _job_plan(bench_quick)
     ctx = multiprocessing.get_context("fork")
 
-    # Pre-service topology: every client its own pool and private cache.
+    # No daemon: every client its own pool and private cache.
     out_q = ctx.Queue()
     procs = [ctx.Process(target=_independent_client,
                          args=(plan, tmp_path / f"ind{i}", out_q))
@@ -177,7 +95,7 @@ def test_daemon_vs_independent_pools(report_writer, json_report_writer,
     t_independent = time.perf_counter() - t0
 
     # Service topology: one daemon (thread here; a process in prod),
-    # one pool, one cache, N clients sharing it.
+    # one Session, one cache, N clients sharing it.
     root = tmp_path / "queue"
     shared_cache = tmp_path / "shared-fits"
     svc = FitService(ServiceConfig(root=root, poll_interval_s=0.02),

@@ -11,7 +11,7 @@ tables and streams a tensor through the bit-level Flex-SFU unit.
 
 import numpy as np
 
-from repro import build_tables, evaluate, fit_activation
+from repro import FitConfig, FlexSfuFitter, build_tables, evaluate
 from repro.functions import make_custom
 from repro.hw import FP16_T, FlexSfuUnit
 
@@ -33,7 +33,7 @@ def main() -> None:
     print("\n  #BP      MSE          MAE")
     best = None
     for n in (4, 8, 16, 32):
-        result = fit_activation(act, n_breakpoints=n)
+        result = FlexSfuFitter(FitConfig(n_breakpoints=n)).fit(act)
         m = evaluate(result.pwl, act)
         print(f"  {n:3d}   {m.mse:.3e}   {m.mae:.3e}")
         best = result.pwl

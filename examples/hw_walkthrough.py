@@ -10,7 +10,7 @@ throughput behaviour and the Table I area/power characterization.
 
 import numpy as np
 
-from repro import build_tables, fit_activation
+from repro import FitConfig, FlexSfuFitter, build_tables
 from repro.functions import SIGMOID
 from repro.hw import (
     AREA_MODEL,
@@ -30,7 +30,7 @@ from repro.hw import (
 
 
 def main() -> None:
-    pwl = fit_activation(SIGMOID, n_breakpoints=15).pwl
+    pwl = FlexSfuFitter(FitConfig(n_breakpoints=15)).fit(SIGMOID).pwl
 
     # --- one function, three operand formats -------------------------- #
     print("sigmoid, 15 breakpoints, executed per format:")

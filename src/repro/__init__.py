@@ -20,8 +20,8 @@ Quickstart::
     y = art.pwl(x)                     # evaluate the approximation
 
 :mod:`repro.api` is the one front door to the fitting subsystem; the
-older entry points (``fit_activation`` & co) remain as deprecated
-shims — see the migration table in the README.
+README's migration table maps the removed pre-``repro.api`` entry
+points onto it.
 """
 
 from . import analysis, api, core, functions, graph, hw, numerics, optim, \
@@ -29,7 +29,6 @@ from . import analysis, api, core, functions, graph, hw, numerics, optim, \
 from . import eval as eval_  # "eval" shadows the builtin; alias available
 from .api import EngineConfig, FitArtifact, FitRequest, Session
 from .core import (
-    BatchFitter,
     FitCache,
     FitConfig,
     FitResult,
@@ -37,7 +36,6 @@ from .core import (
     PiecewiseLinear,
     build_tables,
     evaluate,
-    fit_activation,
     make_job,
     uniform_pwl,
 )
@@ -69,11 +67,9 @@ __all__ = [
     "EngineConfig",
     "FitRequest",
     "FitArtifact",
-    "fit_activation",
     "FlexSfuFitter",
     "FitConfig",
     "FitResult",
-    "BatchFitter",
     "FitCache",
     "make_job",
     "PiecewiseLinear",

@@ -16,10 +16,8 @@ incompatible result types.  This package replaces them all:
   losslessly-serialisable request/result pair that the cache, the job
   queue, and the daemon all speak.
 
-The legacy entry points (``fit_activation``, ``FlexSfuFitter.fit``,
-``fit_pwl_cached``, ``BatchFitter.fit_all`` + ``make_job``,
-``repro.service.fit_many``) remain as deprecated shims; the README's
-migration table maps each onto its Session equivalent.
+The pre-``repro.api`` entry points have been removed; the README's
+migration table records what each one became.
 
 Importing this package is side-effect-light by design: no scipy (or any
 plotting stack) is loaded until a fit actually runs — the public

@@ -1,8 +1,9 @@
 """The canonical fit result: one versioned schema for every transport.
 
 Before ``repro.api``, a finished fit surfaced as one of four
-incompatible shapes depending on which entry point produced it
-(``FitResult``, ``CachedFit``, ``BatchFitResult``, ``ServiceResult``).
+incompatible shapes depending on which entry point produced it (a
+bare ``FitResult``, a ``CachedFit`` entry, and one result type each for
+the batch and service front ends, since removed).
 :class:`FitArtifact` collapses that zoo: every Session engine, the
 on-disk cache, the job queue, and the daemon speak this one document.
 

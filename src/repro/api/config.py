@@ -1,15 +1,15 @@
 """Engine selection and sizing policy: one config instead of a scatter.
 
 Before this module, execution strategy leaked out of three unrelated
-knobs — ``BatchFitter(lane_batch=..., max_workers=...)``, the
+knobs — per-fitter ``lane_batch`` / ``max_workers`` arguments, the
 ``--no-lane-batch`` / ``--serial`` CLI flags, and the
 ``REPRO_MAX_WORKERS`` environment variable — which could silently
-disagree with ``ServiceConfig.workers``.  :class:`EngineConfig` is the
-single place all of them resolve through:
+disagree with ``ServiceConfig.max_workers``.  :class:`EngineConfig` is
+the single place all of them resolve through:
 
 * :meth:`EngineConfig.resolve_workers` is the one worker-count policy
   (explicit setting > ``REPRO_MAX_WORKERS`` > schedulable CPU count);
-  ``BatchFitter`` and the service daemon both delegate to it;
+  the service daemon's Session resolves through it too;
 * ``engine`` names the execution strategy explicitly (``"auto"`` picks
   one deterministically — see :meth:`Session.resolve_engine_name
   <repro.api.session.Session>`), subsuming the old flag scatter.
@@ -138,8 +138,7 @@ class EngineConfig:
         """The effective worker count, by fixed precedence.
 
         1. an explicit ``max_workers`` on this config (which is where
-           ``BatchFitter(max_workers=...)`` and
-           ``ServiceConfig.workers`` land);
+           ``ServiceConfig.max_workers`` lands);
         2. the ``REPRO_MAX_WORKERS`` environment variable;
         3. the schedulable CPU count.
 

@@ -11,9 +11,10 @@ job.  Five implementations ship today:
 ``lane``    shape-compatible requests stacked through the vectorised
             multi-lane kernel (:mod:`repro.core.lanefit`), in-process
 ``pool``    lane-batched units fanned out over a
-            ``ProcessPoolExecutor`` (the old ``BatchFitter`` strategy)
+            ``ProcessPoolExecutor``, one pool per call (also what the
+            ``repro serve`` daemon fits on)
 ``daemon``  requests submitted to the shared ``repro serve`` queue and
-            awaited (the old ``fit_many`` strategy)
+            awaited
 ``http``    requests posted to a ``repro serve-http`` daemon over the
             network (:mod:`repro.serving`)
 =========  ============================================================
@@ -40,8 +41,8 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Protocol,
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..service.queue import JobQueue
 
-from ..core.batchfit import (CachedFit, _pool_worker_init, _run_group,
-                             _run_job, plan_units, pool_map_units)
+from ..core.batchfit import (CachedFit, _pool_worker_init, _run_unit,
+                             plan_units)
 from ..errors import FitError, ServiceError, TransientError
 from ..faults import get_faults
 from ..obs.metrics import get_metrics
@@ -84,7 +85,7 @@ class Engine(Protocol):
 
 def _wrap_payload(request: FitRequest, payload: Dict, engine: str
                   ) -> FitArtifact:
-    """One worker payload (``_run_job`` shape) into an artifact."""
+    """One worker payload (``_run_unit`` element) into an artifact."""
     entry = CachedFit.from_dict(payload["entry"])
     return FitArtifact.from_entry(
         entry, key=request.key, engine=engine, from_cache=False,
@@ -112,10 +113,7 @@ class _LocalEngine:
         for unit in units:
             try:
                 get_faults().check("engine.fit")
-                if len(unit) == 1:
-                    payloads = [_run_job(*tasks[unit[0]])]
-                else:
-                    payloads = _run_group([tasks[i] for i in unit])
+                payloads = _run_unit([tasks[i] for i in unit])
             except TransientError:
                 # Engine-level by definition: a transient failure is a
                 # property of the moment, not of the jobs, so the whole
@@ -139,8 +137,7 @@ class _LocalEngine:
         if len(seeds) != len(requests):
             raise FitError(f"{len(seeds)} warm seeds for "
                            f"{len(requests)} requests")
-        tasks = [(req.job, seed, None)
-                 for req, seed in zip(requests, seeds)]
+        tasks = [(req.job, seed) for req, seed in zip(requests, seeds)]
         with get_tracer().span("fit.engine", engine=self.name,
                                n_requests=len(requests)) as sp:
             units = self._units(tasks)
@@ -187,7 +184,7 @@ class LaneEngine(_LocalEngine):
 
     def _units(self, tasks: List) -> List[List[int]]:
         plan = plan_units({str(i): job.config
-                           for i, (job, _, _) in enumerate(tasks)},
+                           for i, (job, _) in enumerate(tasks)},
                           lane_batch=True, workers=1)
         return [[int(k) for k in unit] for unit in plan]
 
@@ -200,9 +197,11 @@ class PoolEngine(_LocalEngine):
     """Lane-batched units fanned out over a process pool.
 
     Worker count resolves through
-    :meth:`EngineConfig.resolve_workers`; with one effective worker the
-    units run in-process (forking a pool would only add overhead),
-    exactly like the old ``BatchFitter`` fallback.
+    :meth:`EngineConfig.resolve_workers`.  Each call with two or more
+    units opens its own pool and shuts it down before returning, so no
+    pool outlives the call that broke it; with one effective worker or
+    one unit the call runs in-process (forking a pool would only add
+    overhead).
     """
 
     name = ENGINE_POOL
@@ -210,7 +209,7 @@ class PoolEngine(_LocalEngine):
     def _units(self, tasks: List) -> List[List[int]]:
         workers = self.config.resolve_workers(len(tasks))
         plan = plan_units({str(i): job.config
-                           for i, (job, _, _) in enumerate(tasks)},
+                           for i, (job, _) in enumerate(tasks)},
                           lane_batch=self.config.lane_batch,
                           workers=workers)
         return [[int(k) for k in unit] for unit in plan]
@@ -245,12 +244,15 @@ class PoolEngine(_LocalEngine):
             max_workers=min(workers, len(dispatch)),
             initializer=_pool_worker_init)
         try:
-            for unit, got in pool_map_units(pool, dispatch,
-                                            tasks.__getitem__):
-                if isinstance(got, BaseException):
-                    got = [{"error": repr(got)}] * len(unit)
-                for i, payload in zip(unit, got):
-                    out[i] = payload
+            futures = [(unit, pool.submit(_run_unit,
+                                          [tasks[i] for i in unit]))
+                       for unit in dispatch]
+            for unit, fut in futures:
+                try:
+                    got = fut.result()
+                except Exception as exc:  # job failures gather
+                    got = [{"error": repr(exc)}] * len(unit)
+                out.update(zip(unit, got))
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
         return out

@@ -1,10 +1,10 @@
 """The canonical fit request: one construction path for every caller.
 
-``FitRequest.create`` replaces the legacy ``make_job`` as the single
-place a (function, budget, interval, boundary, config) bundle becomes a
-fully-resolved, cache-keyed request.  A request is transport-agnostic:
-the same object fits inline, through the lane kernel, on a process
-pool, or via the daemon queue — unregistered activations ride along as
+``FitRequest.create`` is the single place a (function, budget,
+interval, boundary, config) bundle becomes a fully-resolved,
+cache-keyed request (it wraps :func:`~repro.core.batchfit.make_job`).
+A request is transport-agnostic: the same object fits inline, through
+the lane kernel, on a process pool, or via the daemon queue — unregistered activations ride along as
 sampled :class:`~repro.service.spec.FunctionSpec` s exactly as jobs
 always did, because a request *is* a :class:`~repro.core.batchfit.FitJob`
 plus the API contract around it.
@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-from ..core.batchfit import (FitJob, canonical_job, fit_cache_key,
-                             job_from_dict, job_to_dict, resolve_function)
+from ..core.batchfit import (FitJob, fit_cache_key, job_from_dict,
+                             job_to_dict, make_job, resolve_function)
 from ..core.fit import FitConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,9 +51,8 @@ class FitRequest:
         :class:`~repro.functions.base.ActivationFunction`, or a
         :class:`~repro.service.spec.FunctionSpec`.
         """
-        return cls.from_job(canonical_job(fn, n_breakpoints,
-                                          interval=interval, config=config,
-                                          boundary=boundary))
+        return cls.from_job(make_job(fn, n_breakpoints, interval=interval,
+                                     config=config, boundary=boundary))
 
     @classmethod
     def from_job(cls, job: FitJob) -> "FitRequest":

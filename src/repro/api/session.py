@@ -503,11 +503,12 @@ class Session:
                     .get("kept") == "cold"
                 if forced or cache.get(key) is None:
                     cache.put(key, art.to_entry())
-                if not art.from_cache:
-                    # Telemetry: one line per fit that actually ran —
-                    # what `repro cache report` aggregates.  (The
-                    # guard's discarded fit, if any, was logged inside
-                    # _warm_guard.)
+                    # Telemetry: one line per executed fit — what `repro
+                    # cache report` aggregates.  Whoever writes the
+                    # entry logs it, so a daemon sharing this directory
+                    # (which wrote and logged it first) is not counted
+                    # twice.  (The guard's discarded fit, if any, was
+                    # logged inside _warm_guard.)
                     self._log_fit(key, art)
             out[key] = art
         if errors:
@@ -635,12 +636,15 @@ class Session:
         verdict["cold_mse"] = cold.grid_mse
         # Both fits executed; the kept one is logged by the caller, so
         # the discarded one must be logged here or the telemetry would
-        # undercount executed fits whenever the guard fires.
+        # undercount executed fits whenever the guard fires.  A remote
+        # engine's fit is the exception: the daemon that ran it logged
+        # it when it wrote the entry.
         if cold.grid_mse < art.grid_mse:
             verdict["kept"] = "cold"
             cold.provenance["warm_fallback"] = verdict
             get_metrics().counter("session.guard.verdict", kept="cold").inc()
-            self._log_fit(req.key, art, discarded_by_guard=True)
+            if art.engine not in _REMOTE_ENGINES:
+                self._log_fit(req.key, art, discarded_by_guard=True)
             return cold
         verdict["kept"] = "warm"
         art.provenance["warm_fallback"] = verdict

@@ -8,8 +8,6 @@ the hardware consumes.
 """
 
 from .batchfit import (
-    BatchFitResult,
-    BatchFitter,
     CachedFit,
     FitCache,
     FitJob,
@@ -18,7 +16,7 @@ from .batchfit import (
     make_job,
 )
 from .boundary import ASYMPTOTE, CLAMP, FREE, BoundarySpec, SidePolicy
-from .fit import FitConfig, FitResult, FlexSfuFitter, fit_activation
+from .fit import FitConfig, FitResult, FlexSfuFitter
 from .lanefit import LaneTask, fit_lanes, lane_group_key
 from .loss import (
     GridGradients,
@@ -39,9 +37,6 @@ __all__ = [
     "FlexSfuFitter",
     "FitConfig",
     "FitResult",
-    "fit_activation",
-    "BatchFitter",
-    "BatchFitResult",
     "FitJob",
     "FitCache",
     "CachedFit",

@@ -1,46 +1,38 @@
-"""Parallel batch fitting with a persistent on-disk fit cache.
+"""Fit jobs, the persistent on-disk fit cache, and the worker functions.
 
 (Infrastructure layer: the public front door is
 :class:`repro.api.Session`, whose engines run on this module's job /
-cache / pool machinery.  ``BatchFitter.fit_all`` and ``make_job`` are
-deprecated shims kept for pre-``repro.api`` callers; the daemon still
-drives :meth:`BatchFitter.run` directly.)
+cache / worker machinery.)
 
 The fitting loop (Adam + plateau scheduler + removal/insertion, Section
 IV) is this reproduction's hot path, and every sweep — Fig. 5's budget
 grid, Table II's per-row configurations, Table III's budgets x zoo
 activations — refits the same handful of (function, budget, format)
-combinations.  This module makes those workloads cheap twice over:
+combinations.  This module holds what makes those workloads cheap:
 
-* :class:`BatchFitter` runs many :class:`FitJob` s concurrently through a
-  ``concurrent.futures.ProcessPoolExecutor`` (falling back to in-process
-  execution on single-core machines or single-job batches, where pool
-  overhead would only slow things down), deduplicating identical jobs,
-  short-circuiting exactly-representable functions (ReLU & co) to their
-  native PWLs, and returning structured per-job results;
+* :class:`FitJob` / :func:`make_job` / :func:`fit_cache_key` — one
+  canonical, content-keyed description of a fit;
 * :class:`FitCache` persists every finished fit to disk as JSON (via
   :meth:`PiecewiseLinear.to_dict`), so fits survive across processes,
-  sessions and benchmark runs.
+  sessions and benchmark runs;
+* :func:`plan_units` and :func:`_run_unit` — how the :mod:`repro.api`
+  engines split misses into lane-batched units and run one unit,
+  in-process or in a pool worker.
 
-Three service-grade behaviours layer on top (all used by
-:mod:`repro.service`, all available standalone):
+Two service-grade behaviours layer on top:
 
 * **portable jobs** — a :class:`FitJob` may carry a sampled
   :class:`~repro.service.spec.FunctionSpec`, so unregistered
   (``make_custom``-built) activations can be fitted by pool workers and
   daemon processes that never saw the original Python callable;
-* **near-miss warm starts** — on a cache miss, :meth:`FitCache.nearest`
-  finds the cached fit of the closest neighbouring configuration (same
-  function, adjacent budget/interval) and the optimizer is seeded from
-  its PWL instead of refitting cold (disable with
-  ``BatchFitter(warm_start=False)``; note a warm-started entry may
-  differ bit-for-bit from a cold fit of the same key, depending on what
-  the cache held at fit time — quality is equivalent, provenance is
-  recorded in ``init_used == "warm"``);
-* **shared-memory grids** — a ``grid_provider`` callback can hand each
-  miss a :mod:`multiprocessing.shared_memory` grid reference; workers
-  then map the target samples (:meth:`GridLoss.from_samples`) instead of
-  re-evaluating the target function per job.
+* **near-miss warm starts** — on a cache miss,
+  :meth:`FitCache.nearest_with_key` finds the cached fit of the closest
+  neighbouring configuration (same function, adjacent budget/interval)
+  and the optimizer is seeded from its PWL instead of refitting cold
+  (``EngineConfig(warm_start=False)`` disables it; a warm-started entry
+  may differ bit-for-bit from a cold fit of the same key, depending on
+  what the cache held at fit time — quality is equivalent, provenance
+  is recorded in ``init_used == "warm"``).
 
 Cache location
 --------------
@@ -68,20 +60,19 @@ and rewritten.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import hashlib
 import math
 import os
 import signal
 import tempfile
+import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
-from ..deprecation import warn_legacy
 from ..errors import CacheIntegrityError, FitError
 from ..faults import get_faults
 from ..functions.base import ActivationFunction
@@ -122,23 +113,6 @@ def make_job(fn: Union[str, ActivationFunction, "FunctionSpec"],
              interval: Optional[Tuple[float, float]] = None,
              config: Optional[FitConfig] = None,
              boundary: Optional[Tuple[str, str]] = None) -> FitJob:
-    """Deprecated; use :meth:`repro.api.FitRequest.create`.
-
-    ``FitRequest.create`` is the one canonical construction path for
-    fit requests (same folding rules, same cache keys); a request's
-    ``.job`` property recovers this function's :class:`FitJob` when a
-    legacy interface still needs one.
-    """
-    warn_legacy("make_job", "repro.api.FitRequest.create")
-    return canonical_job(fn, n_breakpoints, interval=interval,
-                         config=config, boundary=boundary)
-
-
-def canonical_job(fn: Union[str, ActivationFunction, "FunctionSpec"],
-                  n_breakpoints: int,
-                  interval: Optional[Tuple[float, float]] = None,
-                  config: Optional[FitConfig] = None,
-                  boundary: Optional[Tuple[str, str]] = None) -> FitJob:
     """Canonicalise a fit request into a :class:`FitJob`.
 
     (The engine-room behind :meth:`repro.api.FitRequest.create` — new
@@ -339,10 +313,11 @@ def _entry_digest(doc: Dict) -> str:
 
 
 def _entry_meta(doc: Dict) -> Optional[Dict]:
-    """Neighbour metadata of one entry document (what ``nearest``
-    matches against), or None when the entry cannot participate in
-    near-miss lookups.  JSON-native types only: the same dict goes into
-    the in-memory scan result and onto disk in ``index.jsonl``.
+    """Neighbour metadata of one entry document (what
+    ``nearest_with_key`` matches against), or None when the entry cannot
+    participate in near-miss lookups.  JSON-native types only: the same
+    dict goes into the in-memory scan result and onto disk in
+    ``index.jsonl``.
     """
     cfg = doc.get("config")
     if (doc.get("schema") != CACHE_SCHEMA_VERSION or cfg is None
@@ -363,8 +338,9 @@ def config_distance(cfg: FitConfig, other_n_breakpoints: int,
 
     ``|log2(budget ratio)| + interval mismatch / width`` — one budget
     doubling or shifting the interval by its own width both count as
-    distance 1.  The one metric shared by :meth:`FitCache.nearest` and
-    the warm-start telemetry (``provenance["warm_distance"]``).
+    distance 1.  The one metric shared by
+    :meth:`FitCache.nearest_with_key` and the warm-start telemetry
+    (``provenance["warm_distance"]``).
     """
     a, b = cfg.interval
     width = max(b - a, 1e-12)
@@ -414,13 +390,13 @@ class FitCache:
     an unbounded key stream cannot grow without limit (the disk layer
     is bounded separately, via :meth:`prune`).
 
-    Neighbour metadata (what :meth:`nearest` matches against) is served
-    from an on-disk **jsonl index** (``<dir>.index.jsonl`` *beside* the
-    entries directory): every :meth:`put` appends one line, and readers
-    trust the index as long as the entries directory's mtime does not
-    exceed the index's — an entry landing without its index line (an
-    old writer, a crash between the two steps, an append racing a
-    rebuild's ``os.replace``) bumps the directory mtime past the index
+    Neighbour metadata (what :meth:`nearest_with_key` matches against)
+    is served from an on-disk **jsonl index** (``<dir>.index.jsonl``
+    *beside* the entries directory): every :meth:`put` appends one line,
+    and readers trust the index as long as the entries directory's mtime
+    does not exceed the index's — an entry landing without its index
+    line (an old writer, a crash between the two steps, an append racing
+    a rebuild's ``os.replace``) bumps the directory mtime past the index
     stamp and forces a full rebuild.  The index lives *outside* the
     directory precisely so a rebuild can stamp itself with the
     directory mtime observed before its walk without perturbing that
@@ -454,7 +430,7 @@ class FitCache:
         #: key -> (mtime, neighbour metadata or None); see :meth:`_scan`.
         self._meta: Dict[str, Tuple[float, Optional[Dict]]] = {}
         #: (monotonic stamp, scan result) — amortises the per-miss scan
-        #: inside one fit_all batch; invalidated by this process's own
+        #: inside one Session.fit batch; invalidated by this process's own
         #: writes (other writers surface after the short TTL).
         self._scan_cache: Optional[Tuple[float, Dict[str, Dict]]] = None
         #: ((mtime, size) of index.jsonl, parsed metas) — re-parse only
@@ -933,28 +909,19 @@ class FitCache:
             except OSError:
                 pass
 
-    def nearest(self, job: FitJob, exclude_key: Optional[str] = None,
-                max_distance: float = 1.25) -> Optional[CachedFit]:
-        """Cached fit of the closest neighbouring configuration, if any.
-
-        Candidates must match the job's function identity (name plus
-        sampled-spec digest) and boundary policy; distance is
-        ``|log2(budget ratio)| + interval mismatch / width``, so one
-        budget doubling or shifting the interval by its own width both
-        count as distance 1.  Entries further than ``max_distance`` are
-        worse seeds than a cold curvature init and are ignored.
-        """
-        got = self.nearest_with_key(job, exclude_key=exclude_key,
-                                    max_distance=max_distance)
-        return got[1] if got is not None else None
-
     def nearest_with_key(self, job: FitJob, exclude_key: Optional[str] = None,
                          max_distance: float = 1.25
                          ) -> Optional[Tuple[str, CachedFit]]:
-        """:meth:`nearest` plus the winning entry's cache key.
+        """Cache key and entry of the closest neighbouring configuration.
 
-        The key is the neighbour's identity — what warm-start lineage
-        records in ``FitArtifact.provenance["warm_key"]``.
+        Candidates must match the job's function identity (name plus
+        sampled-spec digest) and boundary policy; distance is
+        :func:`config_distance`, so one budget doubling or shifting the
+        interval by its own width both count as distance 1.  Entries
+        further than ``max_distance`` are worse seeds than a cold
+        curvature init and are ignored.  The key is the neighbour's
+        identity — what warm-start lineage records in
+        ``FitArtifact.provenance["warm_key"]``.
         """
         cfg = job.config
         if cfg.interval is None:
@@ -997,40 +964,21 @@ def default_cache() -> FitCache:
 
 
 # --------------------------------------------------------------------- #
-# Batch engine
+# Worker functions (in-process, or pickled into a pool worker)
 # --------------------------------------------------------------------- #
-@dataclass
-class BatchFitResult:
-    """Outcome of one job within a :meth:`BatchFitter.fit_all` call.
-
-    ``engine`` records how the artifact was produced: ``"cache"`` (read
-    back), ``"native"`` (exact-PWL shortcut), ``"scalar"`` (one
-    :class:`FlexSfuFitter` run) or ``"lane"`` (lane-batched kernel).
-    """
-
-    job: FitJob
-    key: str
-    pwl: PiecewiseLinear
-    grid_mse: float
-    from_cache: bool
-    wall_time_s: float
-    rounds: int
-    total_steps: int
-    init_used: str
-    engine: str = "scalar"
+#: One fit task as the engines hand it to a worker: the job plus an
+#: optional warm seed (a :meth:`PiecewiseLinear.to_dict` document from a
+#: neighbouring cached configuration).
+FitTask = Tuple[FitJob, Optional[Dict]]
 
 
-def _lane_task(job: FitJob, warm: Optional[Dict], grid: Optional[Dict]):
-    """Resolve one (job, warm seed, grid ref) into a fit-ready LaneTask."""
+def _lane_task(job: FitJob, warm: Optional[Dict]):
+    """Resolve one (job, warm seed) into a fit-ready LaneTask."""
     from .lanefit import LaneTask
 
-    fn = resolve_function(job)
-    loss = None
-    if grid is not None:
-        from ..service.shm import attach_grid
-        loss = attach_grid(grid)  # None when the segment has vanished
     warm_pwl = PiecewiseLinear.from_dict(warm) if warm is not None else None
-    return LaneTask(fn=fn, config=job.config, warm_start=warm_pwl, loss=loss)
+    return LaneTask(fn=resolve_function(job), config=job.config,
+                    warm_start=warm_pwl)
 
 
 def _entry_payload(job: FitJob, res, wall_time_s: float, engine: str) -> Dict:
@@ -1043,26 +991,16 @@ def _entry_payload(job: FitJob, res, wall_time_s: float, engine: str) -> Dict:
             "engine": engine}
 
 
-def _run_job(job: FitJob, warm: Optional[Dict] = None,
-             grid: Optional[Dict] = None) -> Dict:
-    """Execute one fit in a worker process; returns the cache payload.
-
-    Module-level so the process pool can pickle it.  ``warm`` is an
-    optional :meth:`PiecewiseLinear.to_dict` seed from a neighbouring
-    cached configuration; ``grid`` an optional shared-memory grid
-    reference (see :mod:`repro.service.shm`) — both degrade gracefully
-    to a cold, locally-built fit when unusable.
-    """
+def _run_job(job: FitJob, warm: Optional[Dict] = None) -> Dict:
+    """Execute one scalar fit; returns the cache payload."""
     get_faults().check("fit.worker")
     t0 = time.perf_counter()
-    task = _lane_task(job, warm, grid)
-    res = FlexSfuFitter(job.config)._fit(task.fn, warm_start=task.warm_start,
-                                         loss=task.loss)
+    task = _lane_task(job, warm)
+    res = FlexSfuFitter(job.config).fit(task.fn, warm_start=task.warm_start)
     return _entry_payload(job, res, time.perf_counter() - t0, "scalar")
 
 
-def _run_group(tasks: Sequence[Tuple[FitJob, Optional[Dict], Optional[Dict]]]
-               ) -> List[Dict]:
+def _run_group(tasks: Sequence[FitTask]) -> List[Dict]:
     """Execute a shape-compatible group of fits as one lane batch.
 
     Returns one payload per task, in order — either the ``_run_job``
@@ -1088,12 +1026,18 @@ def _run_group(tasks: Sequence[Tuple[FitJob, Optional[Dict], Optional[Dict]]]
         return out
     wall = (time.perf_counter() - t0) / max(len(tasks), 1)
     return [_entry_payload(job, res, wall, "lane")
-            for (job, _, _), res in zip(tasks, results)]
+            for (job, _), res in zip(tasks, results)]
 
 
-#: Returns a shared-grid reference for a job about to be fitted, or None
-#: to let the worker build its own grid (see :mod:`repro.service.shm`).
-GridProvider = Callable[[FitJob], Optional[Dict]]
+def _run_unit(tasks: Sequence[FitTask]) -> List[Dict]:
+    """Execute one unit (see :func:`plan_units`): payloads in order.
+
+    Module-level so a process pool can pickle it.  A one-task unit runs
+    the scalar path, a larger one the lane-batched kernel.
+    """
+    if len(tasks) == 1:
+        return [_run_job(*tasks[0])]
+    return _run_group(tasks)
 
 
 def native_entry(job: FitJob) -> Optional[CachedFit]:
@@ -1120,34 +1064,6 @@ def native_entry(job: FitJob) -> Optional[CachedFit]:
                      config=job.config, spec_digest=job_spec_digest(job))
 
 
-def pool_map_units(pool: concurrent.futures.Executor,
-                   units: Sequence[Sequence],
-                   task_of: Callable):
-    """Fan execution units out over a pool; yields ``(unit, outcome)``.
-
-    ``outcome`` is the list of per-key payloads (``_run_job`` shape,
-    one per unit element) or the exception the unit's future raised —
-    preserved as an *object* so callers can keep their own error
-    semantics (the daemon inspects ``BrokenExecutor`` causes to decide
-    on a pool rebuild).  One-element units dispatch the scalar
-    ``_run_job``; larger units the lane-batched ``_run_group``.  Shared
-    by :meth:`BatchFitter.run` and the :mod:`repro.api` pool engine so
-    the two can never drift on dispatch rules.
-    """
-    futures = [
-        (unit, pool.submit(_run_job, *task_of(unit[0]))
-         if len(unit) == 1 else
-         pool.submit(_run_group, [task_of(key) for key in unit]))
-        for unit in units]
-    for unit, fut in futures:
-        try:
-            got = fut.result()
-        except Exception as exc:  # job failures gather; interrupts raise
-            yield unit, exc
-        else:
-            yield unit, (got if len(unit) > 1 else [got])
-
-
 def plan_units(configs: Dict[str, FitConfig], lane_batch: bool,
                workers: int) -> List[List[str]]:
     """Partition miss keys into execution units (ordered key lists).
@@ -1156,9 +1072,7 @@ def plan_units(configs: Dict[str, FitConfig], lane_batch: bool,
     :func:`~repro.core.lanefit.lane_group_key` and each group is
     chunked so a pool still sees at least ``workers`` tasks when it has
     cores to feed; with ``workers=1`` each group rides one deep batch.
-    A one-key unit runs the scalar path.  Shared by
-    :class:`BatchFitter` and the :mod:`repro.api` engines so both plan
-    identical batches.
+    A one-key unit runs the scalar path.
     """
     if not lane_batch:
         return [[key] for key in configs]
@@ -1176,7 +1090,7 @@ def plan_units(configs: Dict[str, FitConfig], lane_batch: bool,
 
 
 def _pool_worker_init() -> None:
-    """Reset inherited signal dispositions in a fresh pool worker.
+    """Set up a fresh pool worker: default SIGTERM, exit with the parent.
 
     The ``repro serve`` CLI reroutes SIGTERM to ``KeyboardInterrupt``
     for its own clean shutdown; fork-started workers inherit that
@@ -1184,218 +1098,21 @@ def _pool_worker_init() -> None:
     when an operator signals the process group.  Workers should just
     die the default way — the executor's broken-pool handling and the
     daemon's per-job retry own the recovery story.
+
+    A worker also exits once its parent is gone (a SIGKILLed daemon
+    never shuts its pool down): an orphan would otherwise wait on the
+    pool's call queue forever, holding the parent's stdout open.
     """
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
+    parent = os.getppid()
 
+    def exit_with_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
 
-class BatchFitter:
-    """Runs many fit jobs concurrently against a persistent cache.
-
-    Identical jobs are deduplicated before execution; cache hits skip
-    execution entirely.  ``max_workers`` defaults to the
-    ``REPRO_MAX_WORKERS`` environment variable when set, else the
-    schedulable CPU count; when the effective count is 1 (or the miss
-    list has a single entry) the jobs run in-process, because forking a
-    pool would only add overhead.
-
-    ``keep_alive=True`` keeps one process pool warm across
-    :meth:`fit_all` calls (the daemon's mode — workers retain their
-    attached shared-memory grids and resolved functions); pair it with
-    :meth:`close` or use the instance as a context manager.
-
-    ``warm_start`` seeds cache misses from the nearest cached
-    neighbouring configuration (see :meth:`FitCache.nearest`);
-    ``grid_provider`` lets a caller hand workers shared-memory grid
-    references instead of having each rebuild its ``GridLoss``.
-
-    ``lane_batch=True`` (the default) is the preferred execution
-    strategy: misses whose configs share a lane-group key (same budget,
-    grid density and optimizer shape — see
-    :func:`repro.core.lanefit.lane_group_key`) run lock-step through the
-    vectorised multi-lane kernel instead of one scalar fit per task.
-    Groups are chunked so a multi-core pool still gets one task per
-    worker; on a single core the whole group rides one batch.  Results
-    are numerically equivalent to the scalar path either way.
-    """
-
-    def __init__(self, cache: Optional[FitCache] = None,
-                 max_workers: Optional[int] = None,
-                 use_processes: bool = True,
-                 keep_alive: bool = False,
-                 warm_start: bool = True,
-                 grid_provider: Optional[GridProvider] = None,
-                 lane_batch: bool = True) -> None:
-        self.cache = cache if cache is not None else default_cache()
-        if max_workers is not None and max_workers < 1:
-            raise FitError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self.use_processes = use_processes
-        self.keep_alive = keep_alive
-        self.warm_start = warm_start
-        self.grid_provider = grid_provider
-        self.lane_batch = lane_batch
-        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
-
-    def _worker_count(self, n_jobs: int) -> int:
-        # One worker-count policy for the whole codebase: an explicit
-        # max_workers (constructor / ServiceConfig.workers), then the
-        # REPRO_MAX_WORKERS environment variable, then the schedulable
-        # CPU count — see EngineConfig.resolve_workers.
-        from ..api.config import EngineConfig
-        return EngineConfig(max_workers=self.max_workers).resolve_workers(
-            n_jobs)
-
-    # ------------------------------------------------------------------ #
-    # Pool lifecycle
-    # ------------------------------------------------------------------ #
-    def _pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        """The persistent executor (created on first use, keep_alive only)."""
-        if self._executor is None:
-            workers = self._worker_count(1 << 30)
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_pool_worker_init)
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the persistent pool, if one was started."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "BatchFitter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _native_entry(self, job: FitJob) -> Optional[CachedFit]:
-        """Exact-PWL shortcut (see module-level :func:`native_entry`)."""
-        return native_entry(job)
-
-    def _units(self, tasks: Dict[str, Tuple[FitJob, Optional[Dict],
-                                            Optional[Dict]]],
-               workers: int) -> List[List[str]]:
-        """Partition miss keys into units (see :func:`plan_units`)."""
-        return plan_units({key: job.config
-                           for key, (job, _, _) in tasks.items()},
-                          self.lane_batch, workers)
-
-    def fit_all(self, jobs: Sequence[FitJob]) -> List[BatchFitResult]:
-        """Deprecated; use :meth:`repro.api.Session.fit`.
-
-        ``Session(engine="pool").fit(requests)`` covers this method's
-        cache-checked, deduplicated, pooled execution and returns
-        canonical :class:`~repro.api.FitArtifact` results.  The body
-        now lives in :meth:`run`, which the service daemon (and this
-        shim) still call.
-        """
-        warn_legacy("BatchFitter.fit_all", "repro.api.Session.fit")
-        return self.run(jobs)
-
-    def run(self, jobs: Sequence[FitJob]) -> List[BatchFitResult]:
-        """Fit every job, returning results in the order given."""
-        keys = [fit_cache_key(job) for job in jobs]
-        payloads: Dict[str, Tuple[CachedFit, bool, float, str]] = {}
-
-        # Cache pass + dedupe: first job instance per missing key runs.
-        misses: Dict[str, FitJob] = {}
-        for job, key in zip(jobs, keys):
-            if key in payloads or key in misses:
-                continue
-            hit = self.cache.get(key)
-            if hit is not None:
-                payloads[key] = (hit, True, 0.0, "cache")
-                continue
-            native = self._native_entry(job)
-            if native is not None:
-                self.cache.put(key, native)
-                payloads[key] = (native, False, 0.0, "native")
-            else:
-                misses[key] = job
-
-        if misses:
-            # Near-miss warm seeds + shared-grid references per miss.
-            tasks: Dict[str, Tuple[FitJob, Optional[Dict], Optional[Dict]]] = {}
-            for key, job in misses.items():
-                warm: Optional[Dict] = None
-                if self.warm_start:
-                    near = self.cache.nearest(job, exclude_key=key)
-                    if near is not None:
-                        warm = near.pwl.to_dict()
-                grid = (self.grid_provider(job)
-                        if self.grid_provider is not None else None)
-                tasks[key] = (job, warm, grid)
-
-            workers = self._worker_count(len(misses))
-            # When no pool can run (in-process mode, or a single worker
-            # without a persistent pool), don't split lane groups at
-            # all: one deep batch beats several shallow ones run
-            # back-to-back.
-            can_pool = self.use_processes and (self.keep_alive
-                                               or workers > 1)
-            units = self._units(tasks, workers if can_pool else 1)
-            pooled = can_pool and (self.keep_alive or len(units) > 1)
-            raw: Dict[str, Dict] = {}
-            errors: Dict[str, BaseException] = {}
-
-            def absorb(unit: List[str], outs: List[Dict]) -> None:
-                for key, out in zip(unit, outs):
-                    if "error" in out:
-                        errors[key] = FitError(out["error"])
-                    else:
-                        raw[key] = out
-
-            def run_unit(unit: List[str]) -> List[Dict]:
-                if len(unit) == 1:
-                    return [_run_job(*tasks[unit[0]])]
-                return _run_group([tasks[key] for key in unit])
-
-            if pooled:
-                pool = (self._pool() if self.keep_alive else
-                        concurrent.futures.ProcessPoolExecutor(
-                            max_workers=workers,
-                            initializer=_pool_worker_init))
-                try:
-                    for unit, out in pool_map_units(pool, units,
-                                                    tasks.__getitem__):
-                        if isinstance(out, BaseException):
-                            for key in unit:
-                                errors[key] = out
-                        else:
-                            absorb(unit, out)
-                finally:
-                    if not self.keep_alive:
-                        pool.shutdown(wait=True, cancel_futures=True)
-            else:
-                for unit in units:
-                    try:
-                        absorb(unit, run_unit(unit))
-                    except Exception as exc:
-                        for key in unit:
-                            errors[key] = exc
-            # Persist every finished fit BEFORE surfacing failures: a
-            # single divergent job must not cost its batchmates their
-            # results (a retrying caller then hits the cache for them).
-            for key, out in raw.items():
-                entry = CachedFit.from_dict(out["entry"])
-                self.cache.put(key, entry)
-                payloads[key] = (entry, False, float(out["wall_time_s"]),
-                                 str(out.get("engine", "scalar")))
-            if errors:
-                key, exc = next(iter(errors.items()))
-                raise FitError(
-                    f"{len(errors)} of {len(misses)} fit jobs failed; "
-                    f"first: {misses[key].function!r} ({exc!r})") from exc
-
-        results: List[BatchFitResult] = []
-        for job, key in zip(jobs, keys):
-            entry, from_cache, wall, engine = payloads[key]
-            results.append(BatchFitResult(
-                job=job, key=key, pwl=entry.pwl, grid_mse=entry.grid_mse,
-                from_cache=from_cache, wall_time_s=wall, rounds=entry.rounds,
-                total_steps=entry.total_steps, init_used=entry.init_used,
-                engine=engine))
-        return results
+    threading.Thread(target=exit_with_parent, daemon=True,
+                     name="repro-pool-parent-watch").start()

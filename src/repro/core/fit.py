@@ -38,12 +38,11 @@ paper-faithful algorithm, which the ablation benchmark exercises):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..deprecation import warn_legacy
 from ..errors import FitError
 from ..functions.base import ActivationFunction
 from ..optim.adam import Adam
@@ -74,9 +73,9 @@ def init_sequence(init: str) -> List[str]:
 def grid_points_for(config: "FitConfig") -> int:
     """Loss-grid density for a config: >= ~64 samples per segment.
 
-    Single source of truth shared by the fitter, the batch engine's
-    native shortcut, and the fit service's shared-memory grid pool — all
-    three must agree or cached entries stop being reproducible.
+    Single source of truth shared by the fitter and the engines' native
+    shortcut — both must agree or cached entries stop being
+    reproducible.
     """
     return max(config.grid_points, 64 * config.n_breakpoints)
 
@@ -191,31 +190,13 @@ class FitProblem:
     hi: float    # ... and up to here
 
 
-def resolve_problem(fn: ActivationFunction, cfg: FitConfig,
-                    loss: Optional[GridLoss] = None) -> FitProblem:
-    """Resolve a (function, config) pair into a :class:`FitProblem`.
-
-    ``loss`` injects a prebuilt :class:`GridLoss` (e.g. one mapping a
-    shared-memory grid published by the fit service) instead of
-    re-sampling the target; its interval and density must match what the
-    config would build — fits must not silently change with the
-    transport that delivered their grid.
-    """
+def resolve_problem(fn: ActivationFunction, cfg: FitConfig) -> FitProblem:
+    """Resolve a (function, config) pair into a :class:`FitProblem`."""
     a, b = cfg.interval if cfg.interval is not None else fn.default_interval
     if not b > a:
         raise FitError(f"empty fit interval [{a}, {b}]")
     spec = BoundarySpec.resolve(fn, cfg.boundary_left, cfg.boundary_right)
-    n_grid = grid_points_for(cfg)
-    if loss is None:
-        loss = GridLoss(fn, a, b, n_points=n_grid)
-    else:
-        if (loss.xs.size != n_grid
-                or abs(loss.a - a) > 1e-12 * max(1.0, abs(a))
-                or abs(loss.b - b) > 1e-12 * max(1.0, abs(b))):
-            raise FitError(
-                f"injected loss grid ([{loss.a}, {loss.b}], "
-                f"{loss.xs.size} pts) does not match the config's "
-                f"([{a}, {b}], {n_grid} pts)")
+    loss = GridLoss(fn, a, b, n_points=grid_points_for(cfg))
     eps = cfg.min_separation_rel * (b - a)
     # The edge breakpoints are learned (paper) and may settle slightly
     # outside the loss interval — that is where an asymptote-pinned
@@ -235,41 +216,23 @@ class FlexSfuFitter:
     # Public API
     # ------------------------------------------------------------------ #
     def fit(self, fn: ActivationFunction,
-            warm_start: Optional[PiecewiseLinear] = None,
-            loss: Optional[GridLoss] = None) -> FitResult:
-        """Deprecated front door; use :class:`repro.api.Session`.
-
-        ``Session(engine="inline").fit_one(fn, config=cfg)`` runs the
-        same algorithm (this method's body now lives in :meth:`_fit`,
-        which the Session engines call) and returns the canonical
-        :class:`~repro.api.FitArtifact` instead of a bare
-        :class:`FitResult`.
-        """
-        warn_legacy("FlexSfuFitter.fit",
-                    "repro.api.Session.fit_one (engine='inline')")
-        return self._fit(fn, warm_start=warm_start, loss=loss)
-
-    def _fit(self, fn: ActivationFunction,
-             warm_start: Optional[PiecewiseLinear] = None,
-             loss: Optional[GridLoss] = None) -> FitResult:
+            warm_start: Optional[PiecewiseLinear] = None) -> FitResult:
         """Run the full optimization strategy on ``fn``.
+
+        (The scalar kernel behind the :mod:`repro.api` engines; callers
+        that want caching, warm-seed selection and provenance go through
+        :class:`repro.api.Session`.)
 
         ``warm_start`` seeds the optimizer from a previously fitted PWL
         (typically the cached fit of a neighbouring configuration — see
-        ``FitCache.nearest``) instead of racing the cold inits; the seed
-        is resampled to the configured budget, descended at the
+        ``FitCache.nearest_with_key``) instead of racing the cold inits;
+        the seed is resampled to the configured budget, descended at the
         refinement learning rate, and still goes through the full
         removal/insertion phase, so quality matches a cold fit while
         convergence takes measurably fewer steps.
-
-        ``loss`` injects a prebuilt :class:`GridLoss` (e.g. one mapping a
-        shared-memory grid published by the fit service) instead of
-        re-sampling the target here.  Its interval and density must match
-        what this config would build — fits must not silently change with
-        the transport that delivered their grid.
         """
         cfg = self.config
-        prob = resolve_problem(fn, cfg, loss)
+        prob = resolve_problem(fn, cfg)
         a, b = prob.a, prob.b
         spec = prob.spec
         loss = prob.loss
@@ -659,24 +622,3 @@ def _curvature_quantiles(fn: ActivationFunction, a: float, b: float, n: int,
     cdf = (cdf - cdf[0]) / (cdf[-1] - cdf[0])
     # cdf may have flat runs; np.interp handles them (picks left edge).
     return np.interp(np.linspace(0.0, 1.0, n), cdf, xs)
-
-
-# --------------------------------------------------------------------- #
-# Convenience wrappers
-# --------------------------------------------------------------------- #
-def fit_activation(fn: ActivationFunction, n_breakpoints: int = 16,
-                   interval: Optional[Tuple[float, float]] = None,
-                   config: Optional[FitConfig] = None) -> FitResult:
-    """Deprecated one-call fit; use :meth:`repro.api.Session.fit_one`.
-
-    The Session equivalent of ``fit_activation(GELU, 16)`` is
-    ``Session().fit_one(GELU, n_breakpoints=16)`` — cached, engine-
-    selected, and returning a :class:`~repro.api.FitArtifact`.  This
-    shim keeps the uncached scalar behaviour (and the legacy
-    :class:`FitResult` shape) for existing callers.
-    """
-    warn_legacy("fit_activation", "repro.api.Session.fit_one")
-    base = config or FitConfig()
-    cfg = replace(base, n_breakpoints=n_breakpoints,
-                  interval=interval if interval is not None else base.interval)
-    return FlexSfuFitter(cfg)._fit(fn)

@@ -51,7 +51,7 @@ from .boundary import ASYMPTOTE
 from .fit import (INIT_WARM, FitConfig, FitProblem, FitResult, FlexSfuFitter,
                   _pin_values, _project, _State, init_sequence,
                   resolve_problem)
-from .loss import GridLoss, LaneGridLoss
+from .loss import LaneGridLoss
 from .pwl import PiecewiseLinear
 
 
@@ -59,17 +59,13 @@ from .pwl import PiecewiseLinear
 class LaneTask:
     """One lane of a batch: a target plus its (shape-compatible) config.
 
-    ``warm_start`` and ``loss`` mirror the corresponding
-    :meth:`FlexSfuFitter.fit` arguments: an optional seed PWL from a
-    neighbouring cached configuration, and an optional prebuilt grid
-    (e.g. mapping a shared-memory segment) that must match what the
-    config would build.
+    ``warm_start`` mirrors the :meth:`FlexSfuFitter.fit` argument: an
+    optional seed PWL from a neighbouring cached configuration.
     """
 
     fn: ActivationFunction
     config: FitConfig
     warm_start: Optional[PiecewiseLinear] = None
-    loss: Optional[GridLoss] = None
 
 
 def lane_group_key(config: FitConfig) -> FitConfig:
@@ -123,7 +119,7 @@ def fit_lanes(tasks: Sequence[LaneTask]) -> List[FitResult]:
                 f"{lane_group_key(t.config)} vs {key}")
     cfg = tasks[0].config  # shared shape; per-lane fields read via lanes
 
-    lanes = [_Lane(task=t, prob=resolve_problem(t.fn, t.config, t.loss),
+    lanes = [_Lane(task=t, prob=resolve_problem(t.fn, t.config),
                    fitter=FlexSfuFitter(t.config)) for t in tasks]
 
     metrics = get_metrics()

@@ -90,44 +90,6 @@ class GridLoss:
         self._lane: Optional["LaneGridLoss"] = None  # lazy 1-lane kernel
         self._moments: Optional[np.ndarray] = None   # lazy solve workspace
 
-    @classmethod
-    def from_samples(cls, xs: np.ndarray, ys: np.ndarray,
-                     copy: bool = True) -> "GridLoss":
-        """Build a loss from precomputed target samples on a uniform grid.
-
-        This is how fit-service workers map a shared-memory grid instead
-        of re-evaluating the target: ``xs`` must be the uniform
-        ``linspace`` the publishing side used, ``ys`` the target values on
-        it.  With ``copy=False`` the arrays are used as-is (zero-copy over
-        a ``multiprocessing.shared_memory`` buffer) — the caller must keep
-        the backing buffer alive for the lifetime of the loss and never
-        write to it.
-        """
-        xs = np.asarray(xs, dtype=np.float64)  # zero-copy when already f64
-        ys = np.asarray(ys, dtype=np.float64)
-        if xs.ndim != 1 or xs.size < 16:
-            raise FitError(f"grid too coarse: {xs.size} points")
-        if ys.shape != xs.shape:
-            raise FitError(
-                f"sample shape {ys.shape} does not match grid {xs.shape}")
-        steps = np.diff(xs)
-        if not np.all(steps > 0):
-            raise FitError("sample grid must be strictly increasing")
-        h = (xs[-1] - xs[0]) / (xs.size - 1)
-        if not np.allclose(steps, h, rtol=1e-9, atol=1e-12 * max(1.0, abs(h))):
-            raise FitError("sample grid must be uniformly spaced")
-        if not np.all(np.isfinite(ys)):
-            raise FitError("target samples contain non-finite values")
-        obj = cls.__new__(cls)
-        obj.a = float(xs[0])
-        obj.b = float(xs[-1])
-        obj.xs = xs.copy() if copy else xs
-        obj.ys = ys.copy() if copy else ys
-        obj.w = _trapezoid_weights(xs.size)
-        obj._lane = None
-        obj._moments = None
-        return obj
-
     # ------------------------------------------------------------------ #
     # Forward only
     # ------------------------------------------------------------------ #

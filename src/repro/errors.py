@@ -46,7 +46,3 @@ class CacheIntegrityError(ReproError):
     callers never see it (the entry is quarantined and the read becomes
     a miss), but ``repro cache verify`` reports the underlying cause.
     """
-
-
-class CircuitOpenError(ServiceError):
-    """An engine's circuit breaker is open; the call was not attempted."""

@@ -54,9 +54,8 @@ def fit_session():
     """The experiments' shared :class:`~repro.api.Session` (auto engine).
 
     Resolution is dynamic per batch: a heartbeating ``repro serve``
-    daemon wins (shared pool, shared grids, shared cache), else the
-    local pool / lane engines — the same transparent topology the old
-    ``fit_many`` fallback gave every sweep.
+    daemon wins (one shared fitter and cache for every client), else
+    the local pool / lane engines.
 
     Only the *batched prefits* run here; the per-key ``pwl_for`` reads
     below stay on the pass-level cold inline session so that a figure

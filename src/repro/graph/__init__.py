@@ -19,7 +19,6 @@ from .program import (CompiledNode, FusedKernel, Program, PwlKernel,
 from .passes import (
     clear_fit_cache,
     collect_activation_names,
-    fit_pwl_cached,
     make_pwl_approximators,
     native_pwl,
     pwl_for,
@@ -57,7 +56,6 @@ __all__ = [
     "restore_exact_activations",
     "collect_activation_names",
     "make_pwl_approximators",
-    "fit_pwl_cached",
     "native_pwl",
     "pwl_for",
     "clear_fit_cache",

@@ -569,6 +569,9 @@ def _shape_pool2d(in_shapes: List[Shape], attrs: Dict[str, Any]) -> List[Shape]:
     n, c, h, w = in_shapes[0]
     kernel = int(attrs.get("kernel", 2))
     stride = int(attrs.get("stride", 2))
+    if kernel < 1 or stride < 1:
+        raise GraphError(f"pool needs kernel >= 1 and stride >= 1, got "
+                         f"kernel {kernel}, stride {stride}")
     h_out = (h - kernel) // stride + 1
     w_out = (w - kernel) // stride + 1
     if h_out < 1 or w_out < 1:

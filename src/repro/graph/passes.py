@@ -21,11 +21,9 @@ import numpy as np
 from ..core.batchfit import default_cache
 # FlexSfuFitter is unused here since the Session migration but stays
 # importable as `passes.FlexSfuFitter`: tests monkeypatch its `fit`
-# AND `_fit` (the engines' internal path) through this module to
-# assert cache hits never re-fit.
+# through this module to assert cache hits never re-fit.
 from ..core.fit import FitConfig, FlexSfuFitter  # noqa: F401
 from ..core.pwl import PiecewiseLinear
-from ..deprecation import warn_legacy
 from ..functions import registry as fn_registry
 from ..functions.base import ActivationFunction
 from ..functions.softmax import SoftmaxApproximator
@@ -84,18 +82,6 @@ def pwl_for(fn: ActivationFunction, n_breakpoints: int,
     s = session if session is not None else _session()
     return s.fit_one(fn, n_breakpoints, interval=interval,
                      config=config, boundary=tuple(boundary)).pwl
-
-
-def fit_pwl_cached(fn: ActivationFunction, n_breakpoints: int,
-                   interval: Optional[Tuple[float, float]] = None,
-                   config: Optional[FitConfig] = None,
-                   boundary: Tuple[str, str] = ("asymptote", "asymptote")
-                   ) -> PiecewiseLinear:
-    """Deprecated; use :meth:`repro.api.Session.fit_one` (or
-    :func:`pwl_for`, the pass layer's own Session-backed helper)."""
-    warn_legacy("fit_pwl_cached", "repro.api.Session.fit_one")
-    return pwl_for(fn, n_breakpoints, interval=interval, config=config,
-                   boundary=boundary)
 
 
 def make_pwl_approximators(function_names, n_breakpoints: int,

@@ -37,7 +37,6 @@ from .ordered import (
     from_ordered,
     to_ordered,
 )
-from .ulp import error_in_ulps, ulp, ulp_at_one, ulp_at_one_squared
 
 __all__ = [
     "FixedPointFormat",
@@ -65,8 +64,4 @@ __all__ = [
     "from_ordered",
     "compare_encoded",
     "canonicalize_zero",
-    "ulp",
-    "ulp_at_one",
-    "ulp_at_one_squared",
-    "error_in_ulps",
 ]

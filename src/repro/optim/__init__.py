@@ -1,4 +1,4 @@
-"""Optimizer substrate: Adam, LR schedulers and a minimize() driver.
+"""Optimizer substrate: Adam and the plateau LR scheduler.
 
 Reimplements the PyTorch optimization semantics the paper relies on
 (Adam with lr=0.1, momenta (0.9, 0.999); ReduceLROnPlateau) on plain
@@ -6,16 +6,11 @@ numpy arrays.
 """
 
 from .adam import Adam, LaneAdam
-from .runner import LossAndGrad, OptimResult, minimize
-from .schedulers import LaneReduceLROnPlateau, ReduceLROnPlateau, StepLR
+from .schedulers import LaneReduceLROnPlateau, ReduceLROnPlateau
 
 __all__ = [
     "Adam",
     "LaneAdam",
     "ReduceLROnPlateau",
     "LaneReduceLROnPlateau",
-    "StepLR",
-    "minimize",
-    "OptimResult",
-    "LossAndGrad",
 ]

@@ -3,7 +3,7 @@
 The paper uses the "Plateau LR scheduler" — ``ReduceLROnPlateau`` — during
 the PWL fit, dropping the learning rate when the loss stops improving.
 ``LaneReduceLROnPlateau`` is its per-lane twin for the lane-batched fit
-kernel; ``StepLR`` is provided for ablations.
+kernel.
 """
 
 from __future__ import annotations
@@ -121,32 +121,3 @@ class LaneReduceLROnPlateau:
         self._best = self._best[keep]
         self._bad_steps = self._bad_steps[keep]
         self._cooldown_left = self._cooldown_left[keep]
-
-
-class StepLR:
-    """Multiply LR by ``gamma`` every ``step_size`` steps (ablation use)."""
-
-    def __init__(self, optimizer: Adam, step_size: int, gamma: float = 0.5,
-                 min_lr: float = 1e-8) -> None:
-        if step_size <= 0:
-            raise FitError(f"step_size must be positive, got {step_size}")
-        self._opt = optimizer
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-        self.min_lr = float(min_lr)
-        self._count = 0
-
-    @property
-    def lr(self) -> float:
-        """Current learning rate."""
-        return self._opt.lr
-
-    def step(self, loss: float = 0.0) -> bool:
-        """Advance one step; returns True if LR changed."""
-        self._count += 1
-        if self._count % self.step_size == 0:
-            new_lr = max(self._opt.lr * self.gamma, self.min_lr)
-            changed = new_lr < self._opt.lr
-            self._opt.lr = new_lr
-            return changed
-        return False

@@ -1,47 +1,35 @@
-"""Fit service: shared fitting pool behind a durable file-backed queue.
+"""Fit service: shared fitting behind a durable file-backed queue.
 
 The Section-IV fitting loop is the reproduction's hot path, and every
 sweep (Fig. 5 budget grids, Table II/III rows, zoo ablations) used to
-bring its own process pool and rebuild its own loss grids.  This
-subsystem centralises that:
+bring its own process pool and refit what another process had already
+fitted.  This subsystem centralises that:
 
 * :mod:`~repro.service.daemon` — ``repro serve``: one long-running
-  process owns one persistent :class:`~repro.core.batchfit.BatchFitter`
-  pool, one :class:`~repro.service.shm.SharedGridPool` of
-  shared-memory target grids, and the shared on-disk fit cache;
+  process fits every claimed batch through one
+  :class:`~repro.api.Session` on the ``pool`` engine (a process pool
+  per batch) against the shared on-disk fit cache;
 * :mod:`~repro.service.queue` — the durable job queue (atomic claim via
   ``os.replace``, deduplicated by fit-cache key);
-* :mod:`~repro.service.client` — ``submit`` / ``wait`` (the primitives
-  :class:`repro.api.DaemonEngine` builds on) plus the deprecated
-  :func:`~repro.service.client.fit_many` shim, with transparent local
-  fallback when no daemon is serving;
+* :mod:`~repro.service.client` — ``submit`` / ``wait``, the primitives
+  :class:`repro.api.DaemonEngine` builds on;
 * :mod:`~repro.service.spec` — :class:`FunctionSpec`, the serialisable
   function description that lets unregistered (``make_custom``-built)
-  activations travel to worker processes and be cache-keyed by content;
-* :mod:`~repro.service.shm` — shared-memory grid publication and
-  zero-copy worker attachment.
+  activations travel to worker processes and be cache-keyed by content.
 """
 
-from .client import (FALLBACK_ERROR, FALLBACK_LOCAL, ServiceResult, fit_many,
-                     submit, wait)
+from .client import submit, wait
 from .daemon import FitService, ServiceConfig
 from .queue import JobQueue, default_service_dir
-from .shm import SharedGridPool, attach_grid
 from .spec import FunctionSpec, as_spec
 
 __all__ = [
-    "FALLBACK_ERROR",
-    "FALLBACK_LOCAL",
     "FitService",
     "FunctionSpec",
     "JobQueue",
     "ServiceConfig",
-    "ServiceResult",
-    "SharedGridPool",
     "as_spec",
-    "attach_grid",
     "default_service_dir",
-    "fit_many",
     "submit",
     "wait",
 ]

@@ -3,10 +3,9 @@
 A client process never fits anything itself when a daemon is serving:
 it checks the shared on-disk cache, enqueues the misses, and waits for
 ``done`` markers.  :class:`repro.api.DaemonEngine` builds on
-:func:`submit`/:func:`wait`; :func:`fit_many` is the deprecated
-pre-``repro.api`` front end (now a shim over an auto
-:class:`~repro.api.Session`, which reproduces its transparent
-local-fallback topology).
+:func:`submit`/:func:`wait`; ``Session(EngineConfig(service_root=...,
+fallback=...))`` is the front end, with transparent local fallback when
+no daemon is serving.
 
 All coordination is file-based (queue directory + cache directory), so
 "client" and "daemon" only need a filesystem in common.
@@ -15,69 +14,14 @@ All coordination is file-based (queue directory + cache directory), so
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
-from ..core.batchfit import (BatchFitResult, CachedFit, FitCache, FitJob,
-                             fit_cache_key, job_to_dict)
-from ..core.pwl import PiecewiseLinear
-from ..deprecation import warn_legacy
+from ..core.batchfit import CachedFit, FitJob, fit_cache_key, job_to_dict
 from ..errors import ReproError, ServiceError
 from ..obs import clock
 from .queue import JobQueue
 from .retry import RetryPolicy, jittered
-
-#: Fallback policies when no daemon is serving the queue.
-FALLBACK_LOCAL = "local"
-FALLBACK_ERROR = "error"
-
-SOURCE_CACHE = "cache"
-SOURCE_DAEMON = "daemon"
-SOURCE_LOCAL = "local"
-
-
-@dataclass
-class ServiceResult:
-    """One fitted job as seen by a client."""
-
-    job: FitJob
-    key: str
-    pwl: PiecewiseLinear
-    grid_mse: float
-    from_cache: bool
-    rounds: int
-    total_steps: int
-    init_used: str
-    source: str  # cache | daemon | local
-
-    @classmethod
-    def _from_entry(cls, job: FitJob, key: str, entry: CachedFit,
-                    from_cache: bool, source: str) -> "ServiceResult":
-        return cls(job=job, key=key, pwl=entry.pwl, grid_mse=entry.grid_mse,
-                   from_cache=from_cache, rounds=entry.rounds,
-                   total_steps=entry.total_steps, init_used=entry.init_used,
-                   source=source)
-
-    @classmethod
-    def _from_batch(cls, res: BatchFitResult, source: str) -> "ServiceResult":
-        return cls(job=res.job, key=res.key, pwl=res.pwl,
-                   grid_mse=res.grid_mse, from_cache=res.from_cache,
-                   rounds=res.rounds, total_steps=res.total_steps,
-                   init_used=res.init_used, source=source)
-
-    @classmethod
-    def _from_artifact(cls, job: FitJob, artifact) -> "ServiceResult":
-        """Legacy view of a canonical :class:`~repro.api.FitArtifact`."""
-        if artifact.engine in (SOURCE_CACHE, SOURCE_DAEMON):
-            source = artifact.engine
-        else:
-            source = SOURCE_LOCAL
-        return cls(job=job, key=artifact.key, pwl=artifact.pwl,
-                   grid_mse=artifact.grid_mse,
-                   from_cache=artifact.from_cache, rounds=artifact.rounds,
-                   total_steps=artifact.total_steps,
-                   init_used=artifact.init_used, source=source)
 
 
 def submit(job: FitJob, root: Optional[Union[str, Path]] = None,
@@ -159,35 +103,3 @@ def wait(keys: Sequence[str], root: Optional[Union[str, Path]] = None,
         # not hammer the queue directory in lock-step every cycle.
         time.sleep(jittered(poll_s))
     return (results, failures) if return_failures else results
-
-
-def fit_many(jobs: Sequence[FitJob],
-             root: Optional[Union[str, Path]] = None,
-             cache: Optional[FitCache] = None,
-             timeout_s: float = 300.0,
-             poll_s: float = 0.05,
-             fallback: str = FALLBACK_LOCAL) -> List[ServiceResult]:
-    """Deprecated; use :meth:`repro.api.Session.fit` (engine ``auto``).
-
-    An auto Session reproduces this function's exact topology — shared
-    on-disk cache first, then the daemon when one is heartbeating, then
-    (per ``fallback``) the local pool against the same cache — and
-    returns canonical :class:`~repro.api.FitArtifact` s instead of
-    :class:`ServiceResult` s.  This shim builds that Session and maps
-    the artifacts back.
-    """
-    warn_legacy("repro.service.fit_many",
-                "repro.api.Session.fit (engine='auto')")
-    from ..api import EngineConfig, FitRequest, Session
-
-    if fallback not in (FALLBACK_LOCAL, FALLBACK_ERROR):
-        raise ServiceError(f"unknown fallback policy {fallback!r}")
-    config = EngineConfig(
-        service_root=Path(root) if root is not None else None,
-        timeout_s=timeout_s, poll_s=poll_s, fallback=fallback,
-        # The legacy call never second-guessed warm-started results.
-        warm_quality_factor=None)
-    with Session(config, cache=cache) as session:
-        artifacts = session.fit([FitRequest.from_job(job) for job in jobs])
-    return [ServiceResult._from_artifact(job, artifact)
-            for job, artifact in zip(jobs, artifacts)]

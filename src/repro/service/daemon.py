@@ -1,13 +1,14 @@
 """The long-running fit daemon behind ``repro serve``.
 
-One :class:`FitService` owns the machine's fitting resources — a single
-persistent :class:`~repro.core.batchfit.BatchFitter` process pool, a
-:class:`~repro.service.shm.SharedGridPool` of target-sample segments,
-and the shared on-disk :class:`~repro.core.batchfit.FitCache` — and
-drains the file-backed :class:`~repro.service.queue.JobQueue` that any
-number of benchmark / CLI processes submit into.  The pre-service
-topology (every benchmark process spawning its own pool and rebuilding
-its own grids) becomes one pool, one grid set, one cache.
+One :class:`FitService` owns the machine's fitting resources — one
+:class:`~repro.api.Session` on the ``pool`` engine over the shared
+on-disk :class:`~repro.core.batchfit.FitCache` — and drains the
+file-backed :class:`~repro.service.queue.JobQueue` that any number of
+benchmark / CLI processes submit into.  Each claimed batch is one
+``Session.fit``: cache lookups, the exact-PWL shortcut, dedup and warm
+seeds run once for the batch, and its misses fan out over a process
+pool opened for that batch (a one-unit batch fits in the daemon's own
+process), so every client shares one cache instead of refitting.
 
 Robustness model: a batch failure falls back to per-job execution, and a
 job failure is published to the queue's ``failed/`` state instead of
@@ -20,17 +21,15 @@ the heartbeat is removed so clients fail over immediately.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
-from ..core.batchfit import (BatchFitResult, BatchFitter, FitCache, FitJob,
-                             job_from_dict, write_json_atomic)
-from ..errors import ServiceError
+from ..core.batchfit import (FitCache, FitJob, default_cache, job_from_dict,
+                             write_json_atomic)
 from ..faults import get_faults
 from ..obs import clock
 from ..obs.metrics import get_metrics
@@ -38,7 +37,9 @@ from ..obs.trace import get_tracer
 from ..serving.protocol import PROTOCOL_VERSION
 from .queue import DEFAULT_MAX_ATTEMPTS, JobQueue
 from .retry import RetryPolicy
-from .shm import SharedGridPool
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.artifact import FitArtifact
 
 #: Metrics snapshot the daemon exports next to its heartbeat — what a
 #: fresh `repro metrics` process reads (its own in-process registry
@@ -55,7 +56,6 @@ class ServiceConfig:
     poll_interval_s: float = 0.2           # queue poll cadence when idle
     idle_timeout_s: Optional[float] = None  # exit after this much idleness
     claim_batch: int = 64                  # max jobs claimed per cycle
-    use_shared_grids: bool = True
     warm_start: bool = True
     lane_batch: bool = True                # lane-batch shape-compatible jobs
     requeue_stale_s: float = 600.0         # reclaim age for orphaned claims
@@ -64,30 +64,44 @@ class ServiceConfig:
     retry_base_delay_s: float = 0.05       # per-job fallback backoff base
 
 
+def result_doc(art: FitArtifact) -> Dict[str, Any]:
+    """The per-job result document: a queue ``done/`` payload and a
+    ``POST /v1/fit`` result slot alike, so every client decodes both
+    through the same ``CachedFit`` schema."""
+    return {"key": art.key, "entry": art.to_entry().to_dict(),
+            "from_cache": art.from_cache, "wall_time_s": art.wall_time_s}
+
+
+def _count_retry(attempt: int, exc: BaseException) -> None:
+    get_metrics().counter("service.jobs.retries").inc()
+
+
 class FitService:
-    """Claims queued jobs and fits them on one shared pool."""
+    """Claims queued jobs and fits them through one pool-engine Session."""
 
     def __init__(self, config: Optional[ServiceConfig] = None,
                  cache: Optional[FitCache] = None) -> None:
+        # Deferred: repro.api's engines import repro.service.retry, which
+        # runs this package's __init__ and so this module.
+        from ..api import EngineConfig, Session
+
         self.config = config or ServiceConfig()
         self.queue = JobQueue(self.config.root,
                               max_attempts=self.config.max_attempts)
-        # Transient per-job failures (I/O hiccups, a pool rebuilt under
+        # Transient per-job failures (I/O hiccups, a pool broken under
         # the job) get a short in-process retry before the failure is
         # published; deterministic FitErrors fail fast (is_retryable).
         self.retry = RetryPolicy(
             max_attempts=self.config.max_attempts,
             base_delay_s=self.config.retry_base_delay_s)
-        self.grids = SharedGridPool()
-        self.fitter = BatchFitter(
-            cache=cache,
-            max_workers=self.config.max_workers,
-            keep_alive=True,
-            warm_start=self.config.warm_start,
-            grid_provider=(self._grid_for_job
-                           if self.config.use_shared_grids else None),
-            lane_batch=self.config.lane_batch,
-        )
+        # No warm guard here: the daemon publishes what it fits, and the
+        # client's own Session guards what it receives.
+        self.session = Session(
+            EngineConfig(engine="pool", max_workers=self.config.max_workers,
+                         lane_batch=self.config.lane_batch,
+                         warm_start=self.config.warm_start,
+                         warm_quality_factor=None),
+            cache=cache if cache is not None else default_cache())
         self.processed = 0
         self.failed = 0
         # When an HTTP front-end (repro serve-http) embeds this
@@ -95,25 +109,42 @@ class FitService:
         # `repro queue status`-style tooling can discover live servers.
         self.serve_addr: Optional[str] = None
         # The queue-drain loop and the HTTP fit endpoint share one
-        # BatchFitter; the lock serializes batches so pool futures and
-        # warm-start state are never raced from two threads.
+        # Session; the lock serializes its fits across the two threads.
         self.fit_lock = threading.RLock()
         self._stop = False
         self._hb_stop = threading.Event()
         self._hb_thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------ #
-    # Grid publication
-    # ------------------------------------------------------------------ #
-    def _grid_for_job(self, job: FitJob) -> Optional[Dict]:
-        try:
-            return self.grids.ref_for(job)
-        except ServiceError:
-            return None  # un-shareable target; the worker builds locally
-
-    # ------------------------------------------------------------------ #
     # Serving
     # ------------------------------------------------------------------ #
+    def fit_jobs(self, jobs: Sequence[FitJob]
+                 ) -> List[Union[FitArtifact, Exception]]:
+        """Fit a batch; per job, its artifact or the error that failed it.
+
+        The batch is one ``Session.fit``.  If that raises (one divergent
+        fit, a dead pool worker), each job runs alone under
+        :attr:`retry` so a bad fit fails alone; the Session persisted
+        the batchmates' fits before raising, so their reruns are cache
+        hits.  The queue loop and the HTTP endpoint both fit here.
+        """
+        try:
+            with self.fit_lock:
+                return list(self.session.fit(jobs))
+        except Exception:
+            pass  # isolate: each job alone, below
+        out: List[Union[FitArtifact, Exception]] = []
+        for job in jobs:
+            def one(job: FitJob = job) -> FitArtifact:
+                with self.fit_lock:
+                    [art] = self.session.fit([job])
+                return art
+            try:
+                out.append(self.retry.call(one, on_retry=_count_retry))
+            except Exception as exc:
+                out.append(exc)
+        return out
+
     def run_once(self) -> int:
         """Claim and process one batch; returns the number handled."""
         claimed = self.queue.claim(self.config.claim_batch)
@@ -132,72 +163,26 @@ class FitService:
                     self.queue.fail(key, f"undecodable job: {exc}")
                     self.failed += 1
             if jobs:
-                pairs = list(jobs.items())
-                try:
-                    with self.fit_lock:
-                        results = self.fitter.run(
-                            [job for _, job in pairs])
-                    for (key, _), res in zip(pairs, results):
-                        self._publish(key, res)
-                except Exception as exc:
-                    # Batch path poisoned (one divergent fit killing the
-                    # gather, or a dead pool worker) — isolate per job so
-                    # one bad fit fails alone.  Only an actually-broken
-                    # executor forces a pool rebuild; an ordinary
-                    # FitError must not cost the workers their attached
-                    # grids and resolved functions.
-                    self._drop_pool_if_broken(exc)
-                    for key, job in pairs:
-                        try:
-                            def one(job: FitJob = job) -> "BatchFitResult":
-                                with self.fit_lock:
-                                    [res] = self.fitter.run([job])
-                                return res
-                            res = self.retry.call(
-                                one, on_retry=self._on_job_retry)
-                        except Exception as job_exc:
-                            self.queue.fail(key, str(job_exc), exc=job_exc)
-                            self.failed += 1
-                            self._drop_pool_if_broken(job_exc)
-                        else:
-                            self._publish(key, res)
+                for key, got in zip(jobs, self.fit_jobs(list(jobs.values()))):
+                    if isinstance(got, Exception):
+                        self.queue.fail(key, str(got), exc=got)
+                        self.failed += 1
+                    else:
+                        self._publish(key, got)
             new_failed = self.failed - before_failed
             sp.set(failed=new_failed)
             if new_failed:
                 get_metrics().counter("service.jobs.failed").inc(new_failed)
         return len(claimed)
 
-    def _drop_pool_if_broken(self, exc: BaseException) -> None:
-        # fit_all wraps worker failures in FitError with the original as
-        # __cause__, so check both levels for a genuinely broken pool.
-        broken = concurrent.futures.BrokenExecutor
-        if isinstance(exc, broken) or isinstance(exc.__cause__, broken):
-            self.fitter.close()  # recreated lazily on the next batch
-
-    def _on_job_retry(self, attempt: int, exc: BaseException) -> None:
-        # A broken pool must be dropped *before* the retry, or every
-        # attempt in the budget hits the same dead executor.
-        self._drop_pool_if_broken(exc)
-        get_metrics().counter("service.jobs.retries").inc()
-
-    def _publish(self, key: str, res: BatchFitResult) -> None:
-        entry = self.fitter.cache.get(res.key)
-        if entry is None:  # pragma: no cover - fit_all just stored it
-            self.queue.fail(key, "fit finished but cache entry vanished")
-            self.failed += 1
-            return
+    def _publish(self, key: str, art: FitArtifact) -> None:
         # The crash window every queue consumer must survive: work done
         # (entry persisted) but the done marker not yet published.  An
         # InjectedCrash here leaves the claim orphaned, exactly like a
         # SIGKILL; requeue_stale + the attempt budget bound the damage.
         get_faults().check("daemon.publish")
         try:
-            self.retry.call(lambda: self.queue.finish(key, {
-                "key": res.key,
-                "entry": entry.to_dict(),
-                "from_cache": res.from_cache,
-                "wall_time_s": res.wall_time_s,
-            }))
+            self.retry.call(lambda: self.queue.finish(key, result_doc(art)))
         except OSError:
             # Publication keeps failing: leave the claim for
             # requeue_stale — the refit is a cache hit, so the retry
@@ -206,7 +191,7 @@ class FitService:
         self.processed += 1
         get_metrics().counter(
             "service.jobs.done",
-            from_cache="yes" if res.from_cache else "no").inc()
+            from_cache="yes" if art.from_cache else "no").inc()
 
     def _write_heartbeat(self) -> None:
         # Injectable stall: a dropped refresh ages the on-disk
@@ -219,7 +204,6 @@ class FitService:
             "pid": os.getpid(),
             "processed": self.processed,
             "failed": self.failed,
-            "shared_grids": len(self.grids),
             "protocol": PROTOCOL_VERSION,
             "time": clock.wall(),
         }
@@ -240,7 +224,6 @@ class FitService:
         try:
             for state, n in self.queue.counts().items():
                 metrics.gauge("service.queue.depth", state=state).set(n)
-            metrics.gauge("service.shared_grids").set(len(self.grids))
             export = {"pid": os.getpid(), "time": clock.wall(),
                       "protocol": PROTOCOL_VERSION,
                       "metrics": metrics.snapshot()}
@@ -253,8 +236,8 @@ class FitService:
     def _start_heartbeat_thread(self) -> None:
         """Keep the heartbeat fresh *during* long fit batches.
 
-        ``run_once`` blocks in ``fit_all`` for as long as a claimed batch
-        takes; without a background refresher a healthy-but-busy daemon
+        ``run_once`` blocks in ``Session.fit`` for as long as a claimed
+        batch takes; without a background refresher a healthy-but-busy daemon
         would look dead to clients (whose staleness bound is seconds).
         The writes are atomic (temp + ``os.replace``), so racing the
         serve loop's own refreshes is harmless.
@@ -338,13 +321,12 @@ class FitService:
         self._stop = True
 
     def close(self) -> None:
-        """Release the pool, the shared grids, and the heartbeat."""
+        """Release the Session and the heartbeat."""
         self._hb_stop.set()
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=5.0)
             self._hb_thread = None
-        self.fitter.close()
-        self.grids.close()
+        self.session.close()
         # Retire the liveness marker only if it is OURS: with several
         # daemons sharing one queue, an exiting daemon must not declare
         # a surviving sibling dead.

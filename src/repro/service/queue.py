@@ -119,7 +119,11 @@ class JobQueue:
         finished — the submit is then a no-op and the caller just waits
         on the existing lifecycle.
         """
-        for state in (DONE, FAILED, DEAD, CLAIMED, PENDING):
+        # Lifecycle order: a job moves pending -> claimed -> done/failed,
+        # each step creating the next file before retiring the last, so
+        # a job a daemon advances mid-scan (a claim, a publish) is still
+        # seen instead of being enqueued again.
+        for state in _STATES:
             if self._path(state, key).exists():
                 get_metrics().counter("service.submit", outcome="dedup").inc()
                 return False

@@ -2,13 +2,13 @@
 
 One :class:`FitHttpServer` puts an HTTP front-end on a
 :class:`~repro.service.daemon.FitService`, so one shared
-:class:`~repro.core.batchfit.FitCache` + ``BatchFitter`` pool serves a
-whole cluster instead of one filesystem.  The embedded service still
-drains the file-backed job queue (same-host clients keep working
-unchanged); HTTP requests fit on the *same* pool under the service's
-``fit_lock``, read through the same cache, and publish into the same
-heartbeat — which now advertises the bind address and protocol version
-so ``repro queue status`` can discover live servers.
+:class:`~repro.core.batchfit.FitCache` and the service's pool-engine
+Session serve a whole cluster instead of one filesystem.  The embedded
+service still drains the file-backed job queue (same-host clients keep
+working unchanged); HTTP requests fit through the *same* Session under
+the service's ``fit_lock``, read through the same cache, and publish
+into the same heartbeat — which advertises the bind address and
+protocol version so ``repro queue status`` can discover live servers.
 
 Request flow for ``POST /v1/fit``:
 
@@ -18,8 +18,8 @@ Request flow for ``POST /v1/fit``:
    thread pileup);
 3. per-job decode → an undecodable job document fails alone
    (``{"error": ...}`` in its slot), mirroring the daemon's queue path;
-4. one ``BatchFitter.run`` per request under the service ``fit_lock``,
-   with the daemon's batch→per-job isolation fallback;
+4. one :meth:`FitService.fit_jobs` per request — the daemon's own
+   batch, with its batch→per-job isolation fallback;
 5. per-job result documents ``{"key", "entry", "from_cache",
    "wall_time_s"}`` — byte-compatible with the queue's ``done/``
    payloads, so :class:`~repro.api.engines.HttpEngine` and
@@ -29,13 +29,13 @@ Request flow for ``POST /v1/fit``:
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..core.batchfit import BatchFitResult, FitCache, FitJob, job_from_dict
+from ..core.batchfit import FitCache, FitJob, job_from_dict
 from ..obs import clock
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
-from ..service.daemon import FitService, ServiceConfig
+from ..service.daemon import FitService, ServiceConfig, result_doc
 from .http import Response, ServerThread, ServingApp, ServingHTTPServer
 from .protocol import (DEFAULT_FIT_PORT, DEFAULT_HOST, ROUTE_FIT,
                        check_protocol, error_doc)
@@ -62,7 +62,7 @@ class FitHttpApp(ServingApp):
         return super().handle(method, path, body)
 
     def cache_dir(self) -> Optional[str]:
-        return str(self.service.fitter.cache.directory)
+        return str(self.service.session.cache.directory)
 
     def capabilities(self) -> Dict[str, Any]:
         cfg = self.service.config
@@ -110,47 +110,18 @@ class FitHttpApp(ServingApp):
         """Fit decoded jobs; per-slot result documents, order aligned."""
         results: List[Dict[str, Any]] = [
             {"error": "no result produced"} for _ in reqs]
-        jobs: List[Tuple[int, FitJob]] = []
+        jobs: Dict[int, FitJob] = {}
         for i, doc in enumerate(reqs):
             try:
-                jobs.append((i, job_from_dict(doc)))
+                jobs[i] = job_from_dict(doc)
             except Exception as exc:
                 results[i] = {"error": f"undecodable job: {exc}"}
-        if not jobs:
-            return results
-        service = self.service
-        try:
-            with service.fit_lock:
-                fitted = service.fitter.run([job for _, job in jobs])
-            for (i, _), res in zip(jobs, fitted):
-                results[i] = self._result_doc(res)
-        except Exception as exc:
-            # Batch path poisoned — same isolation contract as the
-            # daemon's run_once: each job retries alone so one divergent
-            # fit (or a dead pool worker) fails alone.
-            service._drop_pool_if_broken(exc)
-            for i, job in jobs:
-                try:
-                    def one(job: FitJob = job) -> BatchFitResult:
-                        with service.fit_lock:
-                            [res] = service.fitter.run([job])
-                        return res
-                    res = service.retry.call(
-                        one, on_retry=service._on_job_retry)
-                except Exception as job_exc:
-                    service._drop_pool_if_broken(job_exc)
-                    results[i] = {"error": str(job_exc)}
-                else:
-                    results[i] = self._result_doc(res)
+        if jobs:
+            fitted = self.service.fit_jobs(list(jobs.values()))
+            for i, got in zip(jobs, fitted):
+                results[i] = ({"error": str(got)} if isinstance(got, Exception)
+                              else result_doc(got))
         return results
-
-    def _result_doc(self, res: BatchFitResult) -> Dict[str, Any]:
-        entry = self.service.fitter.cache.get(res.key)
-        if entry is None:  # pragma: no cover - fit_all just stored it
-            return {"error": "fit finished but cache entry vanished"}
-        return {"key": res.key, "entry": entry.to_dict(),
-                "from_cache": res.from_cache,
-                "wall_time_s": res.wall_time_s}
 
 
 class FitHttpServer:

@@ -22,7 +22,6 @@ from .catalog import (
     ModelRecord,
     activation_share_by_year,
     build_catalog,
-    clear_profile_cache,
     family_records,
 )
 from .dataset import Dataset, make_image_dataset, make_token_dataset
@@ -50,7 +49,6 @@ __all__ = [
     "build_catalog",
     "activation_share_by_year",
     "family_records",
-    "clear_profile_cache",
     "Dataset",
     "make_image_dataset",
     "make_token_dataset",

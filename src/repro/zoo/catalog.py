@@ -158,8 +158,3 @@ def activation_share_by_year(records: List[ModelRecord]
 def family_records(records: List[ModelRecord], family: str) -> List[ModelRecord]:
     """Catalog entries of one family."""
     return [r for r in records if r.family == family]
-
-
-def clear_profile_cache() -> None:
-    """Drop memoised profiles (tests use this for isolation)."""
-    _PROFILE_CACHE.clear()

@@ -1,12 +1,14 @@
-"""Integration: batch engine + persistent cache across process layers."""
+"""Integration: pool-engine batch fits + persistent cache across
+process layers."""
 
 import numpy as np
 import pytest
 
 import repro.graph.passes as passes
-from repro.core.batchfit import BatchFitter, FitCache, make_job
+from repro.api import Session
+from repro.core.batchfit import FitCache, make_job
 from repro.functions import SIGMOID, TANH, registry as fn_registry
-from repro.graph.passes import clear_fit_cache, fit_pwl_cached
+from repro.graph.passes import clear_fit_cache, pwl_for
 
 
 class TestPrefitServesPasses:
@@ -15,26 +17,25 @@ class TestPrefitServesPasses:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_fit_cache()
         job = make_job(TANH, 5, config=fast_fit_config)
-        [seeded] = BatchFitter().fit_all([job])
+        with Session(engine="pool") as s:
+            [seeded] = s.fit([job])
 
-        # After prefitting, fit_pwl_cached must not fit again.  Both
-        # the legacy entry point and the Session engines' internal
-        # path are patched, so any cache-lookup regression trips this.
+        # After prefitting, pwl_for must not fit again: the fitter is
+        # patched, so any cache-lookup regression trips this.
         def _no_refit(self, fn, **kwargs):  # pragma: no cover
-            pytest.fail("fit_pwl_cached refitted a prefitted configuration")
+            pytest.fail("pwl_for refitted a prefitted configuration")
 
         monkeypatch.setattr(passes.FlexSfuFitter, "fit", _no_refit)
-        monkeypatch.setattr(passes.FlexSfuFitter, "_fit", _no_refit)
-        pwl = fit_pwl_cached(TANH, 5, config=fast_fit_config)
+        pwl = pwl_for(TANH, 5, config=fast_fit_config)
         assert pwl.to_json() == seeded.pwl.to_json()
 
     def test_cache_shared_across_mem_clears(self, tmp_path, monkeypatch,
                                             fast_fit_config):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_fit_cache()
-        first = fit_pwl_cached(SIGMOID, 5, config=fast_fit_config)
+        first = pwl_for(SIGMOID, 5, config=fast_fit_config)
         clear_fit_cache()  # drops the in-process layer, keeps the disk
-        second = fit_pwl_cached(SIGMOID, 5, config=fast_fit_config)
+        second = pwl_for(SIGMOID, 5, config=fast_fit_config)
         assert first is not second
         assert first.to_json() == second.to_json()
 
@@ -42,7 +43,7 @@ class TestPrefitServesPasses:
                                      fast_fit_config):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_fit_cache()
-        fit_pwl_cached(TANH, 4, config=fast_fit_config)
+        pwl_for(TANH, 4, config=fast_fit_config)
         clear_fit_cache(disk=True)
         from repro.core.batchfit import default_cache
         assert len(default_cache()) == 0
@@ -55,8 +56,8 @@ class TestRegistrySweep:
     def test_registry_batch_fit(self, tmp_path, fast_fit_config):
         names = sorted(fn_registry.available())
         jobs = [make_job(name, 8, config=fast_fit_config) for name in names]
-        fitter = BatchFitter(cache=FitCache(tmp_path))
-        results = fitter.fit_all(jobs)
+        session = Session(engine="pool", cache=FitCache(tmp_path))
+        results = session.fit(jobs)
         assert len(results) == len(names)
         assert all(np.isfinite(r.grid_mse) for r in results)
         # PWL-native functions (ReLU & co) short-circuit to their exact
@@ -65,7 +66,7 @@ class TestRegistrySweep:
                    for r in results)
         assert any(r.init_used == "native" for r in results)  # relu & co
         # Everything is now persisted and served back verbatim.
-        warm = fitter.fit_all(jobs)
+        warm = session.fit(jobs)
         assert all(r.from_cache for r in warm)
         for a, b in zip(results, warm):
             assert a.pwl.to_json() == b.pwl.to_json()

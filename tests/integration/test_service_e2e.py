@@ -3,7 +3,7 @@
 The acceptance scenario for the service subsystem: a real ``repro
 serve`` daemon (separate interpreter), two concurrent client processes
 submitting overlapping job sets with ``fallback="error"`` (so nothing
-may fit locally), deduplicated execution on the daemon's single pool,
+may fit locally), deduplicated execution in the daemon,
 and a ``FunctionSpec``-only (unregistered) activation round-tripping
 through the queue, the daemon, and the shared cache.
 """
@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api import EngineConfig, Session
 from repro.core.batchfit import FitCache, fit_cache_key, make_job
 from repro.core.fit import FitConfig
 from repro.errors import ServiceError
 from repro.functions import make_custom
-from repro.service import JobQueue, fit_many
+from repro.service import JobQueue
 from repro.service.queue import DONE
 
 _TINY = FitConfig(n_breakpoints=4, max_steps=40, refine_steps=20,
@@ -63,13 +64,21 @@ def _wait_for_heartbeat(root: Path, proc: subprocess.Popen,
         time.sleep(0.05)
 
 
+def _fit(jobs, root, cache, **engine):
+    """An auto Session on the shared queue (the daemon when one serves)."""
+    config = EngineConfig(service_root=root, warm_quality_factor=None,
+                          **engine)
+    with Session(config, cache=cache) as session:
+        return session.fit(jobs)
+
+
 def _client(root, cache_dir, requests, conn):
     """Client-process body: fit through the daemon only, report back."""
     try:
         jobs = [make_job(name, n, config=_TINY) for name, n in requests]
-        results = fit_many(jobs, root=root, cache=FitCache(cache_dir),
-                           fallback="error", timeout_s=90.0)
-        conn.send([(r.key, r.source, float(r.grid_mse)) for r in results])
+        results = _fit(jobs, root, FitCache(cache_dir), fallback="error",
+                       timeout_s=90.0)
+        conn.send([(r.key, r.engine, float(r.grid_mse)) for r in results])
     except BaseException as exc:  # surface the failure to the test
         conn.send(ServiceError(f"client failed: {exc!r}"))
     finally:
@@ -124,6 +133,9 @@ class TestDaemonEndToEnd:
                            for key, _, _ in payload}
             assert len(unique_keys) == 3
             assert len(FitCache(fits)) == 3
+            # Each executed fit is logged once, by the daemon that wrote
+            # it: the clients share its cache and write nothing.
+            assert len(FitCache(fits).iter_provenance()) == 3
             beat = JobQueue(root).heartbeat()
             assert beat is not None
             assert beat["failed"] == 0
@@ -151,9 +163,9 @@ class TestDaemonEndToEnd:
         try:
             _wait_for_heartbeat(root, proc)
             cache = FitCache(fits)
-            [res] = fit_many([job], root=root, cache=cache,
-                             fallback="error", timeout_s=90.0)
-            assert res.source == "daemon"
+            [res] = _fit([job], root, cache, fallback="error",
+                         timeout_s=90.0)
+            assert res.engine == "daemon"
             # The fitted PWL approximates the *original* closure even
             # though only samples ever crossed the process boundary.
             xs = np.linspace(-6.0, 6.0, 501)
@@ -189,23 +201,20 @@ class TestDaemonEndToEnd:
 class TestNoDaemonBehaviour:
     def test_fallback_local(self, tmp_path):
         jobs = [make_job("tanh", 4, config=_TINY)]
-        [res] = fit_many(jobs, root=tmp_path / "queue",
-                         cache=FitCache(tmp_path / "fits"))
-        assert res.source == "local"
-        [again] = fit_many(jobs, root=tmp_path / "queue",
-                           cache=FitCache(tmp_path / "fits"))
-        assert again.source == "cache"
+        [res] = _fit(jobs, tmp_path / "queue", FitCache(tmp_path / "fits"))
+        assert res.engine not in ("daemon", "cache")
+        assert not res.from_cache
+        [again] = _fit(jobs, tmp_path / "queue", FitCache(tmp_path / "fits"))
+        assert again.engine == "cache"
 
     def test_fallback_error_raises(self, tmp_path):
         with pytest.raises(ServiceError, match="no fit daemon"):
-            fit_many([make_job("tanh", 4, config=_TINY)],
-                     root=tmp_path / "queue",
-                     cache=FitCache(tmp_path / "fits"),
-                     fallback="error")
+            _fit([make_job("tanh", 4, config=_TINY)], tmp_path / "queue",
+                 FitCache(tmp_path / "fits"), fallback="error")
 
     def test_stale_failure_marker_does_not_veto_resubmission(self, tmp_path):
         # A failed/ marker from an earlier broken-daemon episode must
-        # not permanently poison the key: the next fit_many drops it
+        # not permanently poison the key: the next fit drops it
         # and enqueues a fresh attempt.
         root = tmp_path / "queue"
         job = make_job("tanh", 4, config=_TINY)
@@ -216,8 +225,8 @@ class TestNoDaemonBehaviour:
         queue.fail(key, "pool died")
         queue.write_heartbeat({"pid": 0})  # daemon "alive"
         try:
-            fit_many([job], root=root, cache=FitCache(tmp_path / "fits"),
-                     fallback="error", timeout_s=0.3, poll_s=0.05)
+            _fit([job], root, FitCache(tmp_path / "fits"), fallback="error",
+                 timeout_s=0.3, poll_s=0.05)
         except ServiceError as exc:
             # Nothing serves the fresh submission in this test, so the
             # wait times out — but with the *timeout* path, not with a

@@ -44,10 +44,14 @@ def mlp():
 
 
 def one_layer(kind, c_out=4, **kw):
-    """x -> one conv2d (4 channels in, 8x8) or one linear (4 -> 2)."""
+    """x -> one conv2d (4 channels in, 8x8), one 2x2/2 pool of the same
+    input (``kind`` "maxpool2d" or "avgpool2d") or one linear (4 -> 2)."""
     g = GraphBuilder(f"toy_{kind}", seed=0)
     if kind == "conv":
         y = g.conv2d(g.input("x", (0, 4, 8, 8)), 4, c_out, **kw)
+    elif kind.endswith("pool2d"):
+        y = g.node(kind, [g.input("x", (0, 4, 8, 8))], hint="pool",
+                   kernel=2, stride=2)
     else:
         y = g.linear(g.input("x", (0, 4)), 4, 2)
     g.output(y)
@@ -78,6 +82,14 @@ UNRUNNABLE_LAYERS = {
     "linear-bias-longer-than-d_out": lambda: with_bias(one_layer("linear"),
                                                        3),
     "linear-bias-of-one": lambda: with_bias(one_layer("linear"), 1),
+    "maxpool-stride-0": lambda: with_attrs(one_layer("maxpool2d"), stride=0),
+    "avgpool-stride-0": lambda: with_attrs(one_layer("avgpool2d"), stride=0),
+    "maxpool-kernel-0": lambda: with_attrs(one_layer("maxpool2d"), kernel=0),
+    "avgpool-kernel-0": lambda: with_attrs(one_layer("avgpool2d"), kernel=0),
+    "maxpool-kernel-negative": lambda: with_attrs(one_layer("maxpool2d"),
+                                                  kernel=-1),
+    "avgpool-kernel-negative": lambda: with_attrs(one_layer("avgpool2d"),
+                                                  kernel=-1),
 }
 
 

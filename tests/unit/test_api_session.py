@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import (ENGINE_NAMES, EngineConfig, FitRequest, Session,
                        create_engine)
-from repro.core.batchfit import BatchFitter, FitCache, fit_cache_key
+from repro.core.batchfit import FitCache, fit_cache_key
 from repro.core.fit import FitConfig
 from repro.errors import FitError
 from repro.functions import SIGMOID, TANH
@@ -174,12 +174,23 @@ class TestWorkerResolution:
         with pytest.raises(FitError):
             EngineConfig().resolve_workers()
 
-    def test_batchfitter_routes_through_the_same_rule(self, monkeypatch):
+    def test_batchfitter_routes_through_the_same_rule(self, monkeypatch,
+                                                       tmp_path):
+        # The daemon's batch fitter is a pool-engine Session: its worker
+        # count resolves through the same rule, ServiceConfig.max_workers
+        # first.
+        from repro.service.daemon import FitService, ServiceConfig
+
         monkeypatch.setenv("REPRO_MAX_WORKERS", "6")
-        assert BatchFitter()._worker_count(10) == 6
-        # BatchFitter(max_workers=...) == ServiceConfig.workers path.
-        assert BatchFitter(max_workers=3)._worker_count(10) == 3
-        assert BatchFitter(max_workers=3)._worker_count(10) == \
+
+        def pool_workers(max_workers):
+            with FitService(ServiceConfig(root=tmp_path / "q",
+                                          max_workers=max_workers),
+                            cache=FitCache(tmp_path / "fits")) as svc:
+                return svc.session.engine("pool").capabilities()["workers"]
+
+        assert pool_workers(None) == 6
+        assert pool_workers(3) == 3 == \
             EngineConfig(max_workers=3).resolve_workers(10)
 
 
@@ -269,22 +280,33 @@ class TestDaemonUnavailable:
         assert arts[1].provenance["source"] == "local-fallback"
 
 
+def _daemon_fit(tmp_path, job):
+    """Fit one job the way ``repro serve`` does (FitService.fit_jobs)."""
+    from repro.service.daemon import FitService, ServiceConfig
+
+    with FitService(ServiceConfig(root=tmp_path / "queue", max_workers=1),
+                    cache=FitCache(tmp_path / "fits")) as svc:
+        [res] = svc.fit_jobs([job])
+    return res
+
+
 class TestCacheInterop:
     """Session-written caches serve the daemon's fitter and vice versa."""
 
     def test_daemon_side_reads_session_writes(self, tmp_path):
-        with Session(engine="inline", cache=tmp_path) as s:
+        with Session(engine="inline", cache=tmp_path / "fits") as s:
             art = s.fit_one(SIGMOID, 4, config=_TINY)
-        fitter = BatchFitter(cache=FitCache(tmp_path), use_processes=False)
-        [res] = fitter.run([FitRequest.create(SIGMOID, 4, config=_TINY).job])
+        res = _daemon_fit(tmp_path,
+                          FitRequest.create(SIGMOID, 4, config=_TINY).job)
         assert res.from_cache
         assert res.pwl.to_json() == art.pwl.to_json()
         assert res.grid_mse == art.grid_mse
 
     def test_session_reads_daemon_side_writes(self, tmp_path):
-        fitter = BatchFitter(cache=FitCache(tmp_path), use_processes=False)
-        [res] = fitter.run([FitRequest.create(SIGMOID, 4, config=_TINY).job])
-        with Session(engine="inline", cache=tmp_path) as s:
+        res = _daemon_fit(tmp_path,
+                          FitRequest.create(SIGMOID, 4, config=_TINY).job)
+        assert res.engine == "pool" and not res.from_cache
+        with Session(engine="inline", cache=tmp_path / "fits") as s:
             art = s.fit_one(SIGMOID, 4, config=_TINY)
         assert art.from_cache and art.engine == "cache"
         assert art.pwl.to_json() == res.pwl.to_json()

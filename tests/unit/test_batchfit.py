@@ -1,4 +1,5 @@
-"""Unit tests for the batch-fitting engine and the persistent fit cache."""
+"""Unit tests for fit jobs, batch fitting on the pool engine, and the
+persistent fit cache."""
 
 import json
 from dataclasses import replace
@@ -6,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.api import EngineConfig, Session
 from repro.core.batchfit import (
-    BatchFitter,
     CachedFit,
     FitCache,
     FitJob,
@@ -15,7 +16,7 @@ from repro.core.batchfit import (
     fit_cache_key,
     make_job,
 )
-from repro.core.fit import FitConfig, fit_activation
+from repro.core.fit import FitConfig, FlexSfuFitter
 from repro.core.pwl import PiecewiseLinear
 from repro.errors import FitError
 from repro.functions import SIGMOID, TANH
@@ -103,46 +104,61 @@ class TestFitCache:
 
 
 class TestBatchFitter:
+    """Batch fitting as the daemon runs it: one Session on the pool
+    engine (cache pass, native shortcut, dedup, pooled misses)."""
+
+    @staticmethod
+    def _session(tmp_path, **engine):
+        return Session(EngineConfig(engine="pool", **engine),
+                       cache=FitCache(tmp_path))
+
     def test_results_byte_identical_to_sequential_fit_activation(self, tmp_path):
+        # The sequential baseline is the scalar fitter on the job's own
+        # config; the batch runs both jobs as one lane group.
         jobs = [make_job(TANH, 4, config=_TINY),
                 make_job(SIGMOID, 4, config=_TINY)]
-        fitter = BatchFitter(cache=FitCache(tmp_path), max_workers=2)
-        results = fitter.fit_all(jobs)
+        with self._session(tmp_path, max_workers=2) as s:
+            results = s.fit(jobs)
+        assert {res.provenance["kernel"] for res in results} == {"lane"}
         for job, res in zip(jobs, results):
-            seq = fit_activation(TANH if job.function == "tanh" else SIGMOID,
-                                 4, config=_TINY)
+            seq = FlexSfuFitter(job.config).fit(
+                TANH if job.function == "tanh" else SIGMOID)
             assert res.pwl.to_json() == seq.pwl.to_json()
             assert res.grid_mse == seq.grid_mse
             assert not res.from_cache
 
     def test_cache_hits_on_second_run(self, tmp_path):
         jobs = [make_job(TANH, 4, config=_TINY)]
-        fitter = BatchFitter(cache=FitCache(tmp_path), max_workers=1)
-        assert not fitter.fit_all(jobs)[0].from_cache
-        again = fitter.fit_all(jobs)[0]
+        with self._session(tmp_path, max_workers=1) as s:
+            assert not s.fit(jobs)[0].from_cache
+            again = s.fit(jobs)[0]
         assert again.from_cache
         assert again.wall_time_s == 0.0
 
     def test_duplicate_jobs_fit_once(self, tmp_path):
         job = make_job(TANH, 4, config=_TINY)
-        fitter = BatchFitter(cache=FitCache(tmp_path), max_workers=1)
-        a, b = fitter.fit_all([job, job])
+        with self._session(tmp_path, max_workers=1) as s:
+            a, b = s.fit([job, job])
         assert a.pwl is b.pwl  # deduplicated to one execution
         assert a.key == b.key
 
     def test_serial_and_pooled_agree(self, tmp_path):
+        # Scalar units (no lane batching) so the two misses really fan
+        # out over a 2-worker pool.
         jobs = [make_job(TANH, 4, config=_TINY),
                 make_job(SIGMOID, 4, config=_TINY)]
-        pooled = BatchFitter(cache=FitCache(tmp_path / "a"),
-                             max_workers=2).fit_all(jobs)
-        serial = BatchFitter(cache=FitCache(tmp_path / "b"),
-                             use_processes=False).fit_all(jobs)
+        with self._session(tmp_path / "a", max_workers=2,
+                           lane_batch=False) as s:
+            pooled = s.fit(jobs)
+        with Session(engine="inline", cache=FitCache(tmp_path / "b")) as s:
+            serial = s.fit(jobs)
         for x, y in zip(pooled, serial):
             assert x.pwl.to_json() == y.pwl.to_json()
+            assert x.grid_mse == y.grid_mse
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(FitError):
-            BatchFitter(max_workers=0)
+            EngineConfig(engine="pool", max_workers=0)
 
     def test_failed_job_does_not_discard_batchmates(self, tmp_path):
         # exp over (0, 800) overflows the loss grid and the fit raises;
@@ -150,25 +166,57 @@ class TestBatchFitter:
         # serves it without refitting.
         good = make_job(TANH, 4, config=_TINY)
         bad = make_job("exp", 4, interval=(0.0, 800.0), config=_TINY)
-        fitter = BatchFitter(cache=FitCache(tmp_path), use_processes=False)
-        with np.errstate(over="ignore"), \
-                pytest.raises(FitError, match="1 of 2 fit jobs failed"):
-            fitter.fit_all([good, bad])
-        [retry] = fitter.fit_all([good])
+        with self._session(tmp_path, max_workers=1) as s:
+            with np.errstate(over="ignore"), \
+                    pytest.raises(FitError, match="1 of 2 fit jobs failed"):
+                s.fit([good, bad])
+            [retry] = s.fit([good])
         assert retry.from_cache
 
     def test_native_functions_short_circuit(self, tmp_path):
         from repro.functions import RELU
         job = make_job(RELU, 8, config=_TINY)
-        fitter = BatchFitter(cache=FitCache(tmp_path), max_workers=1)
-        [res] = fitter.fit_all([job])
-        # Exactly-representable functions never burn an optimizer run:
-        # the engine returns the 2-breakpoint native PWL, same as
-        # fit_pwl_cached would for this key.
-        assert res.init_used == "native"
-        assert res.total_steps == 0
-        assert res.pwl.n_breakpoints == 2
-        assert res.grid_mse < 1e-20
-        [warm] = fitter.fit_all([job])
+        with self._session(tmp_path, max_workers=1) as s:
+            [res] = s.fit([job])
+            # Exactly-representable functions never burn an optimizer
+            # run: the batch returns the 2-breakpoint native PWL, same
+            # as pwl_for would for this key.
+            assert res.engine == "native" and res.init_used == "native"
+            assert res.total_steps == 0
+            assert res.pwl.n_breakpoints == 2
+            assert res.grid_mse < 1e-20
+            [warm] = s.fit([job])
         assert warm.from_cache
         assert warm.pwl.to_json() == res.pwl.to_json()
+
+
+class TestPoolWorkerInit:
+    def test_workers_exit_when_their_parent_is_killed(self):
+        # A process opens a pool the way PoolEngine does, then dies by
+        # SIGKILL without shutting it down.  Its worker must not live on
+        # as an orphan: the shared stdout pipe reaching EOF shows that
+        # every process holding it has exited.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import concurrent.futures, os, time\n"
+            "from repro.core.batchfit import _pool_worker_init\n"
+            "pool = concurrent.futures.ProcessPoolExecutor(\n"
+            "    1, initializer=_pool_worker_init)\n"
+            "print(pool.submit(os.getpid).result(), flush=True)\n"
+            "time.sleep(120)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            assert int(proc.stdout.readline()) != proc.pid
+        finally:
+            proc.kill()
+        out, _ = proc.communicate(timeout=20)  # EOF: the worker is gone
+        assert out == ""

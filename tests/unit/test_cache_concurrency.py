@@ -82,7 +82,7 @@ class TestCorruptEntries:
         cache = FitCache(tmp_path)
         (tmp_path / "junk.json").write_text("][")
         job = make_job("tanh", 4, config=FitConfig(n_breakpoints=4))
-        assert cache.nearest(job) is None  # scans past the junk quietly
+        assert cache.nearest_with_key(job) is None  # scans past the junk quietly
 
 
 class TestPruneAndStats:

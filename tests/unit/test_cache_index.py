@@ -47,15 +47,15 @@ class TestIndexMaintenance:
         probe = make_job("gelu", 6, config=_CFG)
         # A fresh cache object must find the neighbour purely from disk.
         fresh = FitCache(cache.directory)
-        near = fresh.nearest(probe)
-        assert near is not None and near.function == "gelu"
+        near = fresh.nearest_with_key(probe)
+        assert near is not None and near[1].function == "gelu"
 
     def test_missing_index_rebuilds(self, cache):
         key, entry, _ = _entry()
         cache.put(key, entry)
         cache.index_path.unlink()
         fresh = FitCache(cache.directory)
-        assert fresh.nearest(make_job("gelu", 6, config=_CFG)) is not None
+        assert fresh.nearest_with_key(make_job("gelu", 6, config=_CFG)) is not None
         assert fresh.index_path.exists()  # rebuilt for the next reader
 
     def test_stale_index_detected_via_directory_mtime(self, cache):
@@ -66,7 +66,7 @@ class TestIndexMaintenance:
         key2, entry2, _ = _entry("tanh")
         write_json_atomic(cache.path(key2), entry2.to_dict())
         fresh = FitCache(cache.directory)
-        assert fresh.nearest(make_job("tanh", 6, config=_CFG)) is not None
+        assert fresh.nearest_with_key(make_job("tanh", 6, config=_CFG)) is not None
 
     def test_corrupt_index_line_falls_back_to_walk(self, cache):
         key, entry, _ = _entry()
@@ -75,7 +75,7 @@ class TestIndexMaintenance:
             handle.write("{torn-line")
         os.utime(cache.index_path, None)
         fresh = FitCache(cache.directory)
-        assert fresh.nearest(make_job("gelu", 6, config=_CFG)) is not None
+        assert fresh.nearest_with_key(make_job("gelu", 6, config=_CFG)) is not None
 
     def test_clear_removes_index(self, cache):
         key, entry, _ = _entry()
@@ -94,8 +94,8 @@ class TestIndexMaintenance:
         assert removed == 1
         fresh = FitCache(cache.directory)
         # Only the newest entry survives, and lookups still work.
-        assert fresh.nearest(make_job("tanh", 6, config=_CFG)) is not None
-        assert fresh.nearest(make_job("gelu", 6, config=_CFG)) is None
+        assert fresh.nearest_with_key(make_job("tanh", 6, config=_CFG)) is not None
+        assert fresh.nearest_with_key(make_job("gelu", 6, config=_CFG)) is None
 
     def test_index_excluded_from_entry_accounting(self, cache):
         key, entry, _ = _entry()

@@ -5,8 +5,7 @@ import pytest
 from dataclasses import replace
 
 from repro.core import evaluate, uniform_pwl
-from repro.core.fit import (FitConfig, FlexSfuFitter, fit_activation,
-                            resolve_problem)
+from repro.core.fit import FitConfig, FlexSfuFitter, resolve_problem
 from repro.core.loss import quadrature_mse
 from repro.errors import FitError
 from repro.functions import EXP, GELU, RELU, SIGMOID, TANH
@@ -72,7 +71,10 @@ class TestBasicFit:
         assert mse < 1e-8
 
     def test_fit_activation_wrapper(self, fast_fit_config):
-        res = fit_activation(TANH, 6, interval=(-4, 4), config=fast_fit_config)
+        # What the removed one-call wrapper ran: budget and interval
+        # folded into the config, then one scalar fit.
+        cfg = replace(fast_fit_config, n_breakpoints=6, interval=(-4, 4))
+        res = FlexSfuFitter(cfg).fit(TANH)
         assert res.pwl.n_breakpoints == 6
         assert res.function == "tanh"
 

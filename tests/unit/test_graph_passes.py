@@ -8,9 +8,9 @@ from repro.graph.program import compile_graph
 from repro.graph.passes import (
     clear_fit_cache,
     collect_activation_names,
-    fit_pwl_cached,
     make_pwl_approximators,
     native_pwl,
+    pwl_for,
     replace_activations,
     restore_exact_activations,
 )
@@ -32,13 +32,13 @@ class TestNativePwl:
 class TestFitCache:
     def test_cache_returns_same_object(self):
         clear_fit_cache()
-        a = fit_pwl_cached(RELU, 4)
-        b = fit_pwl_cached(RELU, 4)
+        a = pwl_for(RELU, 4)
+        b = pwl_for(RELU, 4)
         assert a is b
 
     def test_native_shortcut_for_relu(self):
         clear_fit_cache()
-        pwl = fit_pwl_cached(RELU, 16)
+        pwl = pwl_for(RELU, 16)
         # The native construction has 2 breakpoints, not 16.
         assert pwl.n_breakpoints == 2
 

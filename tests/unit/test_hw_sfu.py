@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import fit_activation
+from repro.core import FlexSfuFitter
 from repro.core.tables import build_tables
 from repro.errors import HardwareError
 from repro.hw.dtypes import FP16_T, FP32_T, HwDataType, fixed_for_range
@@ -15,13 +15,11 @@ from repro.hw.sfu import FlexSfuUnit
 
 @pytest.fixture(scope="module")
 def gelu_tables_fp16():
-    res = fit_activation.__wrapped__ if hasattr(fit_activation, "__wrapped__") \
-        else fit_activation
     from repro.functions import GELU
     from repro.core.fit import FitConfig
     cfg = FitConfig(n_breakpoints=7, max_steps=150, refine_steps=50,
                     max_refine_rounds=1, polish_maxiter=150, grid_points=1024)
-    fit = res(GELU, 7, config=cfg)
+    fit = FlexSfuFitter(cfg).fit(GELU)
     return build_tables(fit.pwl, FP16_T.fmt)
 
 

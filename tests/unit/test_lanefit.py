@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.batchfit import BatchFitter, FitCache, make_job
+from repro.api import EngineConfig, Session
+from repro.core.batchfit import FitCache, make_job, plan_units
 from repro.core.fit import FitConfig, FlexSfuFitter
 from repro.core.lanefit import LaneTask, fit_lanes, lane_group_key
 from repro.core.loss import GridLoss, LaneGridLoss
@@ -264,31 +265,37 @@ class TestFitLanes:
 
 
 # --------------------------------------------------------------------- #
-# BatchFitter integration
+# Lane batching in the pool-engine batch fit
 # --------------------------------------------------------------------- #
 class TestBatchFitterLaneBatch:
+    """Lane-batched units through a Session on the pool engine — the
+    batch fitter ``repro serve`` runs."""
+
     def _jobs(self):
         return [make_job(name, 4, config=_FAST)
                 for name in ("gelu", "tanh", "silu", "sigmoid")]
 
+    @staticmethod
+    def _session(cache_dir, **engine):
+        engine.setdefault("max_workers", 1)
+        return Session(EngineConfig(engine="pool", warm_start=False,
+                                    **engine), cache=FitCache(cache_dir))
+
     def test_lane_engine_used_and_matches_scalar_engine(self, tmp_path):
-        lane_fitter = BatchFitter(cache=FitCache(tmp_path / "lane"),
-                                  use_processes=False, warm_start=False)
-        scalar_fitter = BatchFitter(cache=FitCache(tmp_path / "scalar"),
-                                    use_processes=False, warm_start=False,
-                                    lane_batch=False)
-        lane = lane_fitter.fit_all(self._jobs())
-        scalar = scalar_fitter.fit_all(self._jobs())
-        assert [r.engine for r in lane] == ["lane"] * 4
-        assert [r.engine for r in scalar] == ["scalar"] * 4
+        with self._session(tmp_path / "lane") as s:
+            lane = s.fit(self._jobs())
+        with self._session(tmp_path / "scalar", lane_batch=False) as s:
+            scalar = s.fit(self._jobs())
+        assert [r.provenance["kernel"] for r in lane] == ["lane"] * 4
+        assert [r.provenance["kernel"] for r in scalar] == ["scalar"] * 4
         for a, b in zip(lane, scalar):
             assert a.grid_mse == b.grid_mse
             assert np.array_equal(a.pwl.breakpoints, b.pwl.breakpoints)
 
     def test_cache_hits_short_circuit(self, tmp_path):
-        fitter = BatchFitter(cache=FitCache(tmp_path), use_processes=False)
-        fitter.fit_all(self._jobs())
-        again = fitter.fit_all(self._jobs())
+        with self._session(tmp_path) as s:
+            s.fit(self._jobs())
+            again = s.fit(self._jobs())
         assert all(r.from_cache and r.engine == "cache" for r in again)
 
     def test_mixed_shapes_form_separate_groups(self, tmp_path):
@@ -297,35 +304,31 @@ class TestBatchFitterLaneBatch:
                    for n in ("gelu", "tanh")]
                 + [make_job("silu", 8,
                             config=replace(_FAST, n_breakpoints=8))])
-        fitter = BatchFitter(cache=FitCache(tmp_path), use_processes=False,
-                             warm_start=False)
-        results = fitter.fit_all(jobs)
-        engines = [r.engine for r in results]
-        assert engines[:6] == ["lane"] * 6      # two groups of >= 2
-        assert engines[6] == "scalar"           # singleton group
+        with self._session(tmp_path) as s:
+            results = s.fit(jobs)
+        kernels = [r.provenance["kernel"] for r in results]
+        assert kernels[:6] == ["lane"] * 6      # two groups of >= 2
+        assert kernels[6] == "scalar"           # singleton group
         for res in results:
-            seq = FlexSfuFitter(res.job.config).fit(
-                fn_registry.get(res.job.function))
+            seq = FlexSfuFitter(res.config).fit(
+                fn_registry.get(res.function))
             assert res.grid_mse == seq.grid_mse
 
-    def test_units_chunking(self, tmp_path):
-        fitter = BatchFitter(cache=FitCache(tmp_path))
-        jobs = {f"k{i}": (make_job("gelu", 4, config=_FAST), None, None)
-                for i in range(8)}
-        units = fitter._units(jobs, workers=4)
+    def test_units_chunking(self):
+        configs = {f"k{i}": make_job("gelu", 4, config=_FAST).config
+                   for i in range(8)}
+        units = plan_units(configs, lane_batch=True, workers=4)
         assert sorted(len(u) for u in units) == [2, 2, 2, 2]
-        units_serial = fitter._units(jobs, workers=1)
+        units_serial = plan_units(configs, lane_batch=True, workers=1)
         assert [len(u) for u in units_serial] == [8]
-        fitter.lane_batch = False
-        assert all(len(u) == 1 for u in fitter._units(jobs, 4))
+        assert all(len(u) == 1 for u in plan_units(configs, False, 4))
 
     def test_pooled_lane_groups(self, tmp_path):
         """Process-pool execution of lane groups (2 workers, 2 chunks)."""
-        fitter = BatchFitter(cache=FitCache(tmp_path), max_workers=2,
-                             warm_start=False)
-        results = fitter.fit_all(self._jobs())
-        assert [r.engine for r in results] == ["lane"] * 4
+        with self._session(tmp_path, max_workers=2) as s:
+            results = s.fit(self._jobs())
+        assert [r.provenance["kernel"] for r in results] == ["lane"] * 4
         for res in results:
-            seq = FlexSfuFitter(res.job.config).fit(
-                fn_registry.get(res.job.function))
+            seq = FlexSfuFitter(res.config).fit(
+                fn_registry.get(res.function))
             assert res.grid_mse == seq.grid_mse

@@ -1,10 +1,10 @@
-"""Unit tests for the optimizer substrate (Adam, schedulers, runner)."""
+"""Unit tests for the optimizer substrate (Adam, schedulers)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import FitError
-from repro.optim import Adam, OptimResult, ReduceLROnPlateau, StepLR, minimize
+from repro.optim import Adam, ReduceLROnPlateau
 
 
 def quadratic_loss(params):
@@ -162,53 +162,3 @@ class TestReduceLROnPlateau:
     def test_invalid_factor(self):
         with pytest.raises(FitError):
             ReduceLROnPlateau(Adam([np.zeros(1)]), factor=1.5)
-
-
-class TestStepLR:
-    def test_decays_every_step_size(self):
-        opt = Adam([np.zeros(1)], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_invalid_step_size(self):
-        with pytest.raises(FitError):
-            StepLR(Adam([np.zeros(1)]), step_size=0)
-
-
-class TestMinimize:
-    def test_finds_quadratic_minimum(self):
-        res = minimize(quadratic_loss, [np.zeros(3)], lr=0.1, max_steps=1500)
-        assert isinstance(res, OptimResult)
-        assert res.best_loss < 1e-6
-        assert np.allclose(res.best_params[0], [3.0, -2.0, 0.5], atol=1e-3)
-
-    def test_returns_best_not_last(self):
-        # An oscillating loss must still return the best-seen params.
-        calls = {"n": 0}
-
-        def noisy(params):
-            calls["n"] += 1
-            loss, grads = quadratic_loss(params)
-            return loss, grads
-
-        res = minimize(noisy, [np.zeros(3)], lr=0.5, max_steps=200)
-        direct, _ = quadratic_loss(res.best_params)
-        assert direct == pytest.approx(res.best_loss, rel=1e-9)
-
-    def test_diverged_loss_restores_best(self):
-        def exploding(params):
-            p = params[0]
-            if abs(p[0]) > 10:
-                return float("nan"), [np.zeros(1)]
-            return float(p[0] ** 2), [np.array([2 * p[0] - 1e9])]
-
-        res = minimize(exploding, [np.array([1.0])], lr=0.1, max_steps=50)
-        assert np.isfinite(res.best_loss)
-
-    def test_history_recorded(self):
-        res = minimize(quadratic_loss, [np.zeros(3)], max_steps=10,
-                       record_history=True)
-        assert len(res.history) == 10

@@ -3,6 +3,7 @@
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,30 @@ class TestLifecycle:
         assert not q.submit("k", {"job": {"v": 4}})  # done
         q.forget("k")
         assert q.submit("k", {"job": {"v": 5}})  # forgotten -> fresh
+
+    def test_submit_racing_a_publish_is_still_deduplicated(
+            self, tmp_path, monkeypatch):
+        # The daemon publishes (done/ written, then claimed/ retired)
+        # right after the submit's first state check: the submit must
+        # still see the job instead of enqueuing it a second time.
+        q = JobQueue(tmp_path)
+        q.submit("k", {"job": {}})
+        q.claim()
+        real_exists = Path.exists
+        calls = []
+
+        def exists(path):
+            hit = real_exists(path)
+            calls.append(path)
+            if len(calls) == 1:
+                q.finish("k", {"r": 1})
+            return hit
+
+        monkeypatch.setattr(Path, "exists", exists)
+        assert not q.submit("k", {"job": {}})
+        monkeypatch.undo()
+        assert q.counts()[PENDING] == 0
+        assert q.result("k") == (DONE, {"r": 1})
 
     def test_claim_respects_batch_limit_and_rejects_bad(self, tmp_path):
         q = JobQueue(tmp_path)

@@ -63,7 +63,7 @@ class TestPlumbingEndpoints:
         assert doc["version"] == __version__
         assert doc["schemas"] == {"artifact": ARTIFACT_SCHEMA_VERSION,
                                   "cache": CACHE_SCHEMA_VERSION}
-        assert doc["cache_dir"] == str(server.service.fitter.cache.directory)
+        assert doc["cache_dir"] == str(server.service.session.cache.directory)
         assert doc["capabilities"]["max_pending"] == server.app.max_pending
 
     def test_alive_probe(self, server):
@@ -124,6 +124,34 @@ class TestFitEndpoint:
         assert "undecodable job" in results[0]["error"]
         assert "error" not in results[1]
         assert results[1]["entry"]["function"] == "sigmoid"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_fit_that_raises_fails_alone(self, tmp_path):
+        # exp over (0, 800) overflows the loss grid, so its fit raises
+        # inside the batch; the tanh batchmate (fitted, not cached: a
+        # fresh server) must still come back.
+        good = _job_doc("tanh", 4)
+        bad = FitRequest.create("exp", 4, interval=(0.0, 800.0),
+                                config=_TINY).to_dict()
+        with FitHttpServer(ServiceConfig(root=tmp_path / "queue",
+                                         max_workers=1),
+                           port=0, drain_queue=False,
+                           cache=FitCache(tmp_path / "cache")) as srv:
+            host, port = srv.addr.rsplit(":", 1)
+            conn = http.client.HTTPConnection(host, int(port), timeout=60)
+            try:
+                conn.request("POST", ROUTE_FIT, body=json.dumps(
+                    {"protocol": PROTOCOL_VERSION,
+                     "requests": [good, bad]}).encode("utf-8"),
+                    headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                status, doc = resp.status, json.loads(resp.read())
+            finally:
+                conn.close()
+        assert status == 200
+        tanh, exp = doc["results"]
+        assert "error" not in tanh and tanh["entry"]["function"] == "tanh"
+        assert "entry" not in exp and "fit jobs failed" in exp["error"]
 
 
 class TestBackpressure:

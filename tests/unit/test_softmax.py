@@ -52,10 +52,10 @@ class TestApproximator:
         assert np.allclose(out.sum(axis=-1), 1.0)
 
     def test_rows_sum_to_one_with_pwl_exp(self, rng):
-        from repro.graph.passes import fit_pwl_cached
+        from repro.graph.passes import pwl_for
         from repro.functions import EXP
 
-        pwl = fit_pwl_cached(EXP, 8)
+        pwl = pwl_for(EXP, 8)
         approx = SoftmaxApproximator(pwl)
         x = rng.normal(0, 3, size=(10, 8))
         out = approx(x)

@@ -1,13 +1,13 @@
 """Warm-started refits: near-miss cache lookup + seeded optimizer."""
 
-import numpy as np
 import pytest
 
-from repro.core.batchfit import (BatchFitter, FitCache, fit_cache_key,
-                                 make_job)
+from repro.api import EngineConfig, Session
+from repro.core.batchfit import FitCache, fit_cache_key, make_job
 from repro.core.fit import FitConfig, FlexSfuFitter
 from repro.errors import FitError
 from repro.functions import SIGMOID, TANH
+from repro.service.daemon import FitService, ServiceConfig
 
 _TINY = FitConfig(n_breakpoints=6, max_steps=200, refine_steps=60,
                   max_refine_rounds=2, polish_maxiter=120, grid_points=512)
@@ -34,84 +34,91 @@ class TestFitterWarmStart:
         # A larger budget fits at least as well as the smaller seed.
         assert warm.grid_mse <= cold.grid_mse * 1.05
 
-    def test_injected_loss_must_match_the_config(self):
-        from repro.core.fit import grid_points_for
-        from repro.core.loss import GridLoss
-        a, b = TANH.default_interval
-        good = GridLoss(TANH, a, b, n_points=grid_points_for(_TINY))
-        res = FlexSfuFitter(_TINY).fit(TANH, loss=good)
-        assert np.isfinite(res.grid_mse)
-        bad = GridLoss(TANH, a, b, n_points=64)
-        with pytest.raises(FitError):
-            FlexSfuFitter(_TINY).fit(TANH, loss=bad)
+
+def _pool_session(cache, **engine):
+    """The daemon's batch fitter: a pool-engine Session, no warm guard."""
+    return Session(EngineConfig(engine="pool", max_workers=1,
+                                warm_quality_factor=None, **engine),
+                   cache=cache)
+
+
+def _seed(cache, job):
+    with _pool_session(cache) as s:
+        s.fit([job])
+
+
+def _nearest(cache, job, **kw):
+    got = cache.nearest_with_key(job, **kw)
+    return got[1] if got is not None else None
 
 
 class TestNearestLookup:
     def test_adjacent_budget_is_found(self, tmp_path):
         cache = FitCache(tmp_path)
-        fitter = BatchFitter(cache=cache, use_processes=False)
-        fitter.fit_all([make_job(TANH, 6, config=_TINY)])
+        _seed(cache, make_job(TANH, 6, config=_TINY))
         near_job = make_job(TANH, 7, config=_TINY)
-        hit = cache.nearest(near_job, exclude_key=fit_cache_key(near_job))
+        hit = _nearest(cache, near_job, exclude_key=fit_cache_key(near_job))
         assert hit is not None
         assert hit.function == "tanh"
         assert hit.pwl.n_breakpoints == 6
 
     def test_other_functions_never_match(self, tmp_path):
         cache = FitCache(tmp_path)
-        BatchFitter(cache=cache, use_processes=False).fit_all(
-            [make_job(TANH, 6, config=_TINY)])
-        assert cache.nearest(make_job(SIGMOID, 6, config=_TINY)) is None
+        _seed(cache, make_job(TANH, 6, config=_TINY))
+        assert _nearest(cache, make_job(SIGMOID, 6, config=_TINY)) is None
 
     def test_distant_budgets_are_rejected(self, tmp_path):
         cache = FitCache(tmp_path)
-        BatchFitter(cache=cache, use_processes=False).fit_all(
-            [make_job(TANH, 4, config=_TINY)])
+        _seed(cache, make_job(TANH, 4, config=_TINY))
         # 4 -> 64 breakpoints is 4 doublings: far beyond max_distance.
-        assert cache.nearest(make_job(TANH, 64, config=_TINY)) is None
+        assert _nearest(cache, make_job(TANH, 64, config=_TINY)) is None
 
     def test_boundary_mismatch_is_rejected(self, tmp_path):
         cache = FitCache(tmp_path)
-        BatchFitter(cache=cache, use_processes=False).fit_all(
-            [make_job(TANH, 6, config=_TINY)])
+        _seed(cache, make_job(TANH, 6, config=_TINY))
         free = make_job(TANH, 7, config=_TINY, boundary=("free", "free"))
-        assert cache.nearest(free) is None
+        assert _nearest(cache, free) is None
 
 
 class TestBatchFitterIntegration:
     def test_second_budget_is_warm_started(self, tmp_path):
-        fitter = BatchFitter(cache=FitCache(tmp_path), use_processes=False)
-        [cold] = fitter.fit_all([make_job(TANH, 6, config=_TINY)])
-        [warm] = fitter.fit_all([make_job(TANH, 7, config=_TINY)])
+        with _pool_session(FitCache(tmp_path)) as s:
+            [cold] = s.fit([make_job(TANH, 6, config=_TINY)])
+            [warm] = s.fit([make_job(TANH, 7, config=_TINY)])
         assert cold.init_used in ("uniform", "curvature")
         assert warm.init_used == "warm"
         assert warm.total_steps < cold.total_steps
 
     def test_warm_start_can_be_disabled(self, tmp_path):
-        fitter = BatchFitter(cache=FitCache(tmp_path), use_processes=False,
-                             warm_start=False)
-        fitter.fit_all([make_job(TANH, 6, config=_TINY)])
-        [res] = fitter.fit_all([make_job(TANH, 7, config=_TINY)])
+        with _pool_session(FitCache(tmp_path), warm_start=False) as s:
+            s.fit([make_job(TANH, 6, config=_TINY)])
+            [res] = s.fit([make_job(TANH, 7, config=_TINY)])
         assert res.init_used in ("uniform", "curvature")
 
 
 class TestWorkerCountEnv:
+    """The daemon's pool size: ServiceConfig.max_workers, then the env."""
+
+    @staticmethod
+    def _workers(tmp_path, n_jobs, max_workers=None):
+        with FitService(ServiceConfig(root=tmp_path / "q",
+                                      max_workers=max_workers),
+                        cache=FitCache(tmp_path / "fits")) as svc:
+            return svc.session.config.resolve_workers(n_jobs)
+
     def test_env_override_caps_workers(self, tmp_path, monkeypatch):
-        fitter = BatchFitter(cache=FitCache(tmp_path))
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        assert fitter._worker_count(8) == 2
-        assert fitter._worker_count(1) == 1
+        assert self._workers(tmp_path, 8) == 2
+        assert self._workers(tmp_path, 1) == 1
 
     def test_explicit_workers_beat_the_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        fitter = BatchFitter(cache=FitCache(tmp_path), max_workers=3)
-        assert fitter._worker_count(8) == 3
+        assert self._workers(tmp_path, 8, max_workers=3) == 3
 
     def test_invalid_env_is_loud(self, tmp_path, monkeypatch):
-        fitter = BatchFitter(cache=FitCache(tmp_path))
         monkeypatch.setenv("REPRO_MAX_WORKERS", "many")
         with pytest.raises(FitError):
-            fitter._worker_count(8)
+            self._workers(tmp_path, 8)
         monkeypatch.setenv("REPRO_MAX_WORKERS", "0")
         with pytest.raises(FitError):
-            fitter._worker_count(8)
+            self._workers(tmp_path, 8)
