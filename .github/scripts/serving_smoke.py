@@ -1,11 +1,12 @@
 """CI smoke for the serving tier: both daemons, many clients, one pass.
 
-Expects a ``serve-http`` daemon at ``$REPRO_SERVE_ADDR`` and a
-``serve-infer`` daemon (serving ``generic_cnn``) at
+Expects a ``repro serve --addr`` fit daemon at ``$REPRO_SERVE_ADDR`` and
+a ``serve-infer`` daemon (serving ``generic_cnn``) at
 ``$REPRO_INFER_ADDR``, started by the workflow.  Exercises the real
-client paths: a :class:`repro.api.Session` fitting through
-``HttpEngine`` (no local fallback allowed), and a pool of concurrent
-``ServingClient`` inference requests that the daemon must micro-batch.
+client paths: a :class:`repro.api.Session` fitting through the remote
+engine's HTTP transport (no local fallback allowed), and a pool of
+concurrent ``ServingClient`` inference requests that the daemon must
+micro-batch.
 """
 
 import os
@@ -15,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.api import ENGINE_HTTP, EngineConfig, FitRequest, Session
+from repro.api import ENGINE_REMOTE, EngineConfig, FitRequest, Session
 from repro.core.fit import FitConfig
 from repro.serving.client import ServingClient
 from repro.serving.protocol import ENV_INFER_ADDR, ENV_SERVE_ADDR
@@ -45,14 +46,15 @@ def wait_healthy(addr: str, label: str, timeout_s: float = 600.0) -> None:
 def fit_smoke() -> None:
     reqs = [FitRequest.create(name, 4, config=TINY)
             for name in ("tanh", "sigmoid", "silu")]
-    cfg = EngineConfig(engine="http", http_addr=FIT_ADDR,
+    cfg = EngineConfig(engine="remote", http_addr=FIT_ADDR,
                        fallback="error", warm_start=False)
     with Session(cfg) as session:
         arts = session.fit(reqs)
-    assert all(a.engine == ENGINE_HTTP for a in arts), \
-        [a.engine for a in arts]
-    print(f"fit: {len(arts)} artifacts via {ENGINE_HTTP}, grid_mse "
-          f"{[float(a.grid_mse) for a in arts]}")
+    assert all(a.engine == ENGINE_REMOTE and
+               a.provenance["transport"] == "http" for a in arts), \
+        [(a.engine, a.provenance) for a in arts]
+    print(f"fit: {len(arts)} artifacts via {ENGINE_REMOTE} over http, "
+          f"grid_mse {[float(a.grid_mse) for a in arts]}")
 
 
 def infer_smoke() -> None:
@@ -83,7 +85,7 @@ def infer_smoke() -> None:
 
 
 def main() -> None:
-    wait_healthy(FIT_ADDR, "serve-http")
+    wait_healthy(FIT_ADDR, "serve --addr")
     wait_healthy(INFER_ADDR, "serve-infer")
     fit_smoke()
     infer_smoke()

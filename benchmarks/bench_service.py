@@ -60,7 +60,7 @@ def _service_client(plan, root, cache_dir, out_q):
                               timeout_s=600.0)
         with Session(config, cache=FitCache(cache_dir)) as session:
             arts = session.fit(reqs)
-        out_q.put(("ok", sum(a.engine == "daemon" for a in arts)))
+        out_q.put(("ok", sum(a.engine == "remote" for a in arts)))
     except BaseException as exc:
         out_q.put(("err", repr(exc)))
         raise

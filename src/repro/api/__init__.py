@@ -6,9 +6,10 @@ incompatible result types.  This package replaces them all:
 * :class:`Session` — the façade: cache lookups, warm seeds + quality
   guard, engine resolution, artifact persistence;
 * :class:`Engine` (protocol) with :class:`InlineEngine`,
-  :class:`LaneEngine`, :class:`PoolEngine`, :class:`DaemonEngine`,
-  :class:`HttpEngine` — pluggable execution backends producing
-  numerically identical results;
+  :class:`LaneEngine`, :class:`PoolEngine` and :class:`RemoteEngine`
+  (the ``repro serve`` daemon, over HTTP or its file queue) —
+  pluggable execution backends producing numerically identical
+  results;
 * :class:`EngineConfig` — the single policy object subsuming the old
   ``lane_batch`` / ``--no-lane-batch`` / ``REPRO_MAX_WORKERS`` scatter
   (:meth:`EngineConfig.resolve_workers` is the one worker-count rule);
@@ -25,35 +26,33 @@ surface test enforces it.
 """
 
 from .artifact import ARTIFACT_SCHEMA_VERSION, FitArtifact
-from .config import (ENGINE_AUTO, ENGINE_DAEMON, ENGINE_HTTP, ENGINE_INLINE,
-                     ENGINE_LANE, ENGINE_NAMES, ENGINE_POOL, FALLBACK_ERROR,
+from .config import (ENGINE_AUTO, ENGINE_INLINE, ENGINE_LANE, ENGINE_NAMES,
+                     ENGINE_POOL, ENGINE_REMOTE, FALLBACK_ERROR,
                      FALLBACK_LOCAL, EngineConfig)
-from .engines import (DaemonEngine, Engine, HttpEngine, InlineEngine,
-                      LaneEngine, PoolEngine, create_engine)
+from .engines import (Engine, InlineEngine, LaneEngine, PoolEngine,
+                      RemoteEngine, create_engine)
 from .request import FitRequest
 from .session import Session, fit
 from .telemetry import aggregate_provenance
 
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
-    "DaemonEngine",
     "ENGINE_AUTO",
-    "ENGINE_DAEMON",
-    "ENGINE_HTTP",
     "ENGINE_INLINE",
     "ENGINE_LANE",
     "ENGINE_NAMES",
     "ENGINE_POOL",
+    "ENGINE_REMOTE",
     "Engine",
     "EngineConfig",
     "FALLBACK_ERROR",
     "FALLBACK_LOCAL",
     "FitArtifact",
     "FitRequest",
-    "HttpEngine",
     "InlineEngine",
     "LaneEngine",
     "PoolEngine",
+    "RemoteEngine",
     "Session",
     "aggregate_provenance",
     "create_engine",

@@ -33,22 +33,21 @@ from ..errors import FitError
 #: Bump when the artifact document changes shape.
 ARTIFACT_SCHEMA_VERSION = 1
 
-#: ``engine`` values an artifact may carry: the four Session engines
-#: plus the two execution-free sources.
-ENGINE_SOURCES = ("inline", "lane", "pool", "daemon", "cache", "native")
-
 
 @dataclass
 class FitArtifact:
     """One fitted PWL plus its full provenance.
 
-    ``engine`` records which Session engine produced the artifact
-    (``"cache"`` for a read-back, ``"native"`` for the exact-PWL
-    shortcut); ``provenance`` holds the JSON-native lineage details —
+    ``engine`` records which Session engine produced the artifact —
+    one of the concrete names in :data:`~repro.api.config.ENGINE_NAMES`,
+    ``"cache"`` for a read-back, or ``"native"`` for the exact-PWL
+    shortcut; ``provenance`` holds the JSON-native lineage details —
     e.g. ``kernel`` (scalar vs lane inside a pool), ``warm_key`` (the
     neighbouring cache entry that seeded the fit), ``warm_fallback``
     (the quality guard's verdict when it re-fitted cold), ``source``
-    (daemon vs local when an auto session fell back).
+    (``"remote"``, or ``"local-fallback"`` when a session that tried
+    the remote engine fitted locally) and ``transport`` (``"http"`` or
+    ``"queue"`` for a remote fit).
     """
 
     function: str

@@ -12,7 +12,10 @@ the single place all of them resolve through:
   the service daemon's Session resolves through it too;
 * ``engine`` names the execution strategy explicitly (``"auto"`` picks
   one deterministically — see :meth:`Session.resolve_engine_name
-  <repro.api.session.Session>`), subsuming the old flag scatter.
+  <repro.api.session.Session>`), subsuming the old flag scatter;
+* :meth:`EngineConfig.resolve_http_addr` picks the remote engine's
+  transport: HTTP to the daemon's listener when an address resolves,
+  its file queue at ``service_root`` otherwise.
 """
 
 from __future__ import annotations
@@ -29,15 +32,14 @@ ENGINE_AUTO = "auto"
 ENGINE_INLINE = "inline"
 ENGINE_LANE = "lane"
 ENGINE_POOL = "pool"
-ENGINE_DAEMON = "daemon"
-ENGINE_HTTP = "http"
+ENGINE_REMOTE = "remote"
 
 #: Engines a Session can be asked for (``auto`` resolves to one of the
-#: concrete five).
+#: concrete four).
 ENGINE_NAMES = (ENGINE_AUTO, ENGINE_INLINE, ENGINE_LANE, ENGINE_POOL,
-                ENGINE_DAEMON, ENGINE_HTTP)
+                ENGINE_REMOTE)
 
-#: Behaviour when the daemon engine is unavailable or loses jobs:
+#: Behaviour when the remote engine is unavailable or loses jobs:
 #: ``"local"`` re-runs them on a local engine, ``"error"`` raises.
 FALLBACK_LOCAL = "local"
 FALLBACK_ERROR = "error"
@@ -70,28 +72,27 @@ class EngineConfig:
     #: (recorded in the artifact's provenance).  ``None`` disables the
     #: guard.
     warm_quality_factor: Optional[float] = 10.0
-    #: Daemon-unavailability policy (:data:`FALLBACK_LOCAL` or
+    #: Remote-unavailability policy (:data:`FALLBACK_LOCAL` or
     #: :data:`FALLBACK_ERROR`).
     fallback: str = FALLBACK_LOCAL
-    #: Queue directory for the daemon engine (``None``: the default
-    #: service dir under ``$REPRO_CACHE_DIR``).
+    #: Queue directory the remote engine submits to when no address
+    #: resolves (``None``: the default service dir under
+    #: ``$REPRO_CACHE_DIR``).
     service_root: Optional[Path] = None
-    #: Daemon engine: overall wait bound and poll cadence.
+    #: Remote engine: the bound on one batch, on either transport (the
+    #: queue wait, or one HTTP round trip), and the queue poll cadence.
     timeout_s: float = 300.0
     poll_s: float = 0.05
-    #: Retry budget for transient queue I/O (daemon engine submits,
-    #: client waits) and HTTP transport errors; see
+    #: Retry budget for transient queue I/O (remote submits, client
+    #: waits) and HTTP transport errors; see
     #: :class:`repro.service.retry.RetryPolicy`.
     retry_max_attempts: int = 3
     retry_base_delay_s: float = 0.05
-    #: HTTP engine: ``host:port`` of a ``repro serve-http`` daemon.
+    #: Remote engine: ``host:port`` of a ``repro serve --addr`` daemon.
     #: ``None`` defers to ``REPRO_SERVE_ADDR`` (see
-    #: :meth:`resolve_http_addr`); with neither set, the HTTP engine is
-    #: unconfigured and ``auto`` never selects it.
+    #: :meth:`resolve_http_addr`); with neither set, the remote engine
+    #: reaches the daemon through its file queue at ``service_root``.
     http_addr: Optional[str] = None
-    #: Per-request transport timeout for the HTTP engine (fit batches
-    #: block server-side; this bounds one round-trip, not the session).
-    http_timeout_s: float = 120.0
     #: Per-engine circuit breaker (``auto`` failover chain): the
     #: breaker opens after ``breaker_threshold`` consecutive
     #: engine-level failures and admits one half-open probe after
@@ -118,16 +119,13 @@ class EngineConfig:
         if self.breaker_cooldown_s < 0:
             raise FitError(f"breaker_cooldown_s must be >= 0, "
                            f"got {self.breaker_cooldown_s}")
-        if self.http_timeout_s <= 0:
-            raise FitError(f"http_timeout_s must be > 0, "
-                           f"got {self.http_timeout_s}")
 
     def resolve_http_addr(self) -> Optional[str]:
         """The serving address, by fixed precedence.
 
         1. an explicit ``http_addr`` on this config;
         2. the ``REPRO_SERVE_ADDR`` environment variable;
-        3. ``None`` — no HTTP tier (the ``auto`` chain skips it).
+        3. ``None`` — the remote engine uses the file queue.
         """
         if self.http_addr:
             return self.http_addr

@@ -3,9 +3,9 @@
 An :class:`Engine` turns canonical :class:`~repro.api.FitRequest` s into
 canonical :class:`~repro.api.FitArtifact` s and knows nothing about
 caching, warm-seed selection, or quality guards — that is the Session's
-job.  Five implementations ship today:
+job.  Four implementations ship today:
 
-=========  ============================================================
+==========  ===========================================================
 ``inline``  one scalar :class:`~repro.core.fit.FlexSfuFitter` run per
             request, sequential, in-process — the reference engine
 ``lane``    shape-compatible requests stacked through the vectorised
@@ -13,16 +13,15 @@ job.  Five implementations ship today:
 ``pool``    lane-batched units fanned out over a
             ``ProcessPoolExecutor``, one pool per call (also what the
             ``repro serve`` daemon fits on)
-``daemon``  requests submitted to the shared ``repro serve`` queue and
-            awaited
-``http``    requests posted to a ``repro serve-http`` daemon over the
-            network (:mod:`repro.serving`)
-=========  ============================================================
+``remote``  requests fitted by the ``repro serve`` daemon: posted to
+            its HTTP listener when an address resolves, else submitted
+            to its file queue and awaited
+==========  ===========================================================
 
-All five produce **numerically identical artifacts** for the same
+All four produce **numerically identical artifacts** for the same
 requests (the lane kernel is bit-for-bit equal to the scalar fitter by
-contract, and pool/daemon/http compose those two); the property suite
-asserts it.
+contract, and pool and remote compose those two); the property suite
+asserts it, on both remote transports.
 
 Failure contract: ``fit`` returns ``None`` in a failed request's slot
 and records the reason in :attr:`last_errors`; it raises only when the
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Protocol,
-                    Sequence)
+                    Sequence, Tuple, Union)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..service.queue import JobQueue
@@ -49,8 +48,8 @@ from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
 from ..service.retry import RetryPolicy
 from .artifact import FitArtifact
-from .config import (ENGINE_DAEMON, ENGINE_HTTP, ENGINE_INLINE, ENGINE_LANE,
-                     ENGINE_POOL, EngineConfig)
+from .config import (ENGINE_INLINE, ENGINE_LANE, ENGINE_POOL, ENGINE_REMOTE,
+                     EngineConfig)
 from .request import FitRequest
 
 #: The per-request warm seed type: a ``PiecewiseLinear.to_dict``
@@ -240,9 +239,11 @@ class PoolEngine(_LocalEngine):
                 dispatch.append(unit)
         if not dispatch:
             return out
+        faults = get_faults()
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(workers, len(dispatch)),
-            initializer=_pool_worker_init)
+            initializer=_pool_worker_init,
+            initargs=(faults.plan.to_json(),) if faults.enabled else ())
         try:
             futures = [(unit, pool.submit(_run_unit,
                                           [tasks[i] for i in unit]))
@@ -264,127 +265,55 @@ class PoolEngine(_LocalEngine):
                 "remote": False}
 
 
-class DaemonEngine:
-    """Requests submitted to the shared ``repro serve`` queue.
+#: The remote engine's two transports (``provenance["transport"]``).
+TRANSPORT_HTTP = "http"
+TRANSPORT_QUEUE = "queue"
 
-    Warm seeds are ignored here on purpose: the daemon owns its own
-    cache-adjacency lookup (it sees the whole cluster's cache, the
-    client may not).  Raises :class:`~repro.errors.ServiceError` when
-    no daemon is serving or one dies mid-wait; jobs the daemon *failed*
-    come back as ``None`` slots with their markers cleared, so a
-    Session-level local retry is not vetoed by the stale failure.
+#: :meth:`RemoteEngine.status` values.  ``"down"`` (an address that does
+#: not answer, or a stale heartbeat) is a degradation the failover chain
+#: records; ``"absent"`` (no daemon ever heartbeated) is skipped silently.
+STATUS_ALIVE = "alive"
+STATUS_DOWN = "down"
+STATUS_ABSENT = "absent"
+
+#: What one remote slot decodes to: the entry and its fit's wall time,
+#: or the reason the slot failed.
+_Slot = Union[Tuple[CachedFit, float], str]
+
+
+def _decode_slot(doc: Any) -> _Slot:
+    """One ``POST /v1/fit`` result slot (see ``service.daemon.result_doc``)."""
+    if not isinstance(doc, dict):
+        return "malformed result"
+    if "error" in doc or "entry" not in doc:
+        return str(doc.get("error", "malformed result document"))
+    try:
+        return (CachedFit.from_dict(doc["entry"]),
+                float(doc.get("wall_time_s", 0.0)))
+    except Exception as exc:
+        return f"undecodable result: {exc!r}"
+
+
+class RemoteEngine:
+    """Requests fitted by the ``repro serve`` daemon.
+
+    The transport resolves on every call: HTTP to the daemon's listener
+    when :meth:`EngineConfig.resolve_http_addr` gives an address
+    (explicit ``http_addr`` > ``REPRO_SERVE_ADDR``), else the daemon's
+    file queue at ``service_root``.  The daemon owns the shared cache
+    and its warm-seed lookup, so client-side warm seeds are ignored.
+
+    Failure contract, on either transport: a job the daemon failed comes
+    back as a ``None`` slot with its reason in :attr:`last_errors`; an
+    unusable daemon raises — :class:`~repro.errors.ServiceError` when
+    no daemon serves the queue or one dies mid-wait, ``OSError`` /
+    :class:`~repro.errors.TransientError` when the address does not
+    answer or 429 backpressure outlasts the retry budget — and the
+    Session's failover chain takes over.  One ``timeout_s`` bounds a
+    batch on either transport.
     """
 
-    name = ENGINE_DAEMON
-
-    def __init__(self, config: Optional[EngineConfig] = None) -> None:
-        self.config = config or EngineConfig()
-        self.last_errors: Dict[int, str] = {}
-        self.retry = RetryPolicy(
-            max_attempts=self.config.retry_max_attempts,
-            base_delay_s=self.config.retry_base_delay_s)
-
-    def _queue(self) -> JobQueue:
-        from ..service.queue import JobQueue
-        return JobQueue(self.config.service_root)
-
-    def alive(self) -> bool:
-        """Is a daemon heartbeating on the configured queue?"""
-        return self._queue().daemon_alive()
-
-    def heartbeat_status(self) -> str:
-        """``"alive"``, ``"stale"`` (heartbeat exists but old — a
-        daemon died or wedged), or ``"absent"`` (never served)."""
-        queue = self._queue()
-        if queue.daemon_alive():
-            return "alive"
-        return "absent" if queue.heartbeat() is None else "stale"
-
-    def fit(self, requests: Sequence[FitRequest],
-            warm: Optional[Sequence[WarmSeed]] = None
-            ) -> List[Optional[FitArtifact]]:
-        from ..service.client import wait
-
-        self.last_errors = {}
-        if not requests:
-            return []
-        queue = self._queue()
-        # Pre-flight before enqueueing anything: submitting to a queue
-        # nobody serves would orphan jobs for the *next* daemon to
-        # replay as stale work.
-        if not queue.daemon_alive():
-            raise ServiceError(f"no fit daemon is serving {queue.root} "
-                               f"({len(requests)} requests unsubmitted)")
-        keys = [req.key for req in requests]
-        on_retry = (lambda attempt, exc:
-                    get_metrics().counter("service.client.retries").inc())
-        with get_tracer().span("fit.engine", engine=self.name,
-                               n_requests=len(requests)):
-            for key, req in zip(keys, requests):
-                # A leftover failure from an earlier episode (broken
-                # pool, killed daemon) must not veto a fresh attempt.
-                got = queue.result(key)
-                if got is not None and got[0] == "failed":
-                    queue.forget(key)
-                # Transient submit I/O retries under the budget; a key
-                # that stays unsubmittable raises ServiceError so the
-                # Session's failover chain takes over.
-                try:
-                    self.retry.call(
-                        lambda key=key, req=req: queue.submit(
-                            key, {"job": req.to_dict()}),
-                        on_retry=on_retry)
-                except OSError as exc:
-                    raise ServiceError(
-                        f"cannot submit fit job {key[:16]}… to "
-                        f"{queue.root}: {exc}") from exc
-            entries, failures = wait(
-                sorted(set(keys)), root=self.config.service_root,
-                timeout_s=self.config.timeout_s, poll_s=self.config.poll_s,
-                require_daemon=True, return_failures=True)
-        results: List[Optional[FitArtifact]] = []
-        for i, (key, req) in enumerate(zip(keys, requests)):
-            entry = entries.get(key)
-            if entry is None:
-                doc = failures.get(key, {})
-                self.last_errors[i] = str(doc.get("error", "unknown error"))
-                queue.forget(key)
-                results.append(None)
-            else:
-                results.append(FitArtifact.from_entry(
-                    entry, key=key, engine=self.name, from_cache=False,
-                    provenance={"source": "daemon"}))
-        return results
-
-    def capabilities(self) -> Dict[str, Any]:
-        return {"engine": self.name, "parallel": True, "remote": True,
-                "root": str(self._queue().root), "alive": self.alive()}
-
-    def close(self) -> None:
-        pass
-
-
-class HttpEngine:
-    """Requests fitted by a ``repro serve-http`` daemon over HTTP.
-
-    The network sibling of :class:`DaemonEngine`: the server owns the
-    shared cache and warm-seed lookup, so client-side warm seeds are
-    ignored here too.  The address resolves through
-    :meth:`EngineConfig.resolve_http_addr` (explicit config >
-    ``REPRO_SERVE_ADDR``); with neither set the engine is unconfigured
-    and raises :class:`~repro.errors.ServiceError` — which is how the
-    ``auto`` chain knows to skip it.
-
-    Transport-error contract: connection failures and exhausted
-    backpressure retries (429s, retried with jittered backoff by the
-    shared :class:`~repro.service.retry.RetryPolicy`) surface as
-    engine-level failures — ``ServiceError`` / ``TransientError`` —
-    advancing the Session's failover chain; a job the *server* failed
-    comes back as a ``None`` slot with the reason in
-    :attr:`last_errors`, exactly like every other engine.
-    """
-
-    name = ENGINE_HTTP
+    name = ENGINE_REMOTE
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
         self.config = config or EngineConfig()
@@ -396,30 +325,41 @@ class HttpEngine:
         self._client_addr: Optional[str] = None
 
     # ------------------------------------------------------------------ #
-    def addr(self) -> Optional[str]:
-        """The resolved serving address (``None`` = unconfigured)."""
-        return self.config.resolve_http_addr()
+    def target(self) -> str:
+        """Where the daemon is reached: its address or its queue root."""
+        addr = self.config.resolve_http_addr()
+        return addr if addr is not None else str(self._queue().root)
 
-    def configured(self) -> bool:
-        return self.addr() is not None
+    def _queue(self) -> JobQueue:
+        from ..service.queue import JobQueue
+        return JobQueue(self.config.service_root)
 
     def _client_for(self, addr: str) -> Any:
         from ..serving.client import ServingClient
         if self._client is None or self._client_addr != addr:
             if self._client is not None:
                 self._client.close()
-            self._client = ServingClient(
-                addr, timeout_s=self.config.http_timeout_s,
-                retry=self.retry)
+            self._client = ServingClient(addr, timeout_s=self.config.timeout_s,
+                                         retry=self.retry)
             self._client_addr = addr
         return self._client
 
-    def alive(self, timeout_s: float = 1.0) -> bool:
-        """One cheap liveness probe against ``/healthz``."""
-        addr = self.addr()
-        if addr is None:
-            return False
-        return self._client_for(addr).alive(timeout_s=timeout_s)
+    def status(self) -> str:
+        """:data:`STATUS_ALIVE`, :data:`STATUS_DOWN` or
+        :data:`STATUS_ABSENT`.
+
+        Over HTTP, one ``/healthz`` probe (an address never counts as
+        absent).  Over the queue, the heartbeat file: one stat, plus one
+        read when it is not fresh — no socket.
+        """
+        addr = self.config.resolve_http_addr()
+        if addr is not None:
+            alive = self._client_for(addr).alive()
+            return STATUS_ALIVE if alive else STATUS_DOWN
+        queue = self._queue()
+        if queue.daemon_alive():
+            return STATUS_ALIVE
+        return STATUS_ABSENT if queue.heartbeat() is None else STATUS_DOWN
 
     def fit(self, requests: Sequence[FitRequest],
             warm: Optional[Sequence[WarmSeed]] = None
@@ -427,46 +367,91 @@ class HttpEngine:
         self.last_errors = {}
         if not requests:
             return []
-        addr = self.addr()
-        if addr is None:
-            raise ServiceError(
-                f"no serving address configured (set http_addr or "
-                f"$REPRO_SERVE_ADDR; {len(requests)} requests unsent)")
-        client = self._client_for(addr)
-        with get_tracer().span("fit.http", addr=addr,
+        addr = self.config.resolve_http_addr()
+        transport = TRANSPORT_QUEUE if addr is None else TRANSPORT_HTTP
+        provenance: Dict[str, Any] = {"source": "remote",
+                                      "transport": transport}
+        with get_tracer().span("fit.engine", engine=self.name,
+                               transport=transport,
                                n_requests=len(requests)) as sp:
-            docs = client.fit([req.to_dict() for req in requests])
+            if addr is None:
+                slots = self._fit_queue(requests)
+            else:
+                provenance["addr"] = addr
+                docs = self._client_for(addr).fit(
+                    [req.to_dict() for req in requests])
+                slots = [_decode_slot(doc) for doc in docs]
             results: List[Optional[FitArtifact]] = []
-            for i, (req, doc) in enumerate(zip(requests, docs)):
-                art = self._decode(req, doc, addr)
-                if art is None:
-                    self.last_errors[i] = str(
-                        doc.get("error", "malformed result document")
-                        if isinstance(doc, dict) else "malformed result")
-                results.append(art)
+            for i, (req, slot) in enumerate(zip(requests, slots)):
+                if isinstance(slot, str):
+                    self.last_errors[i] = slot
+                    results.append(None)
+                    continue
+                entry, wall_time_s = slot
+                results.append(FitArtifact.from_entry(
+                    entry, key=req.key, engine=self.name, from_cache=False,
+                    wall_time_s=wall_time_s, provenance=provenance))
             if self.last_errors:
                 sp.set(failed=len(self.last_errors))
         return results
 
-    def _decode(self, req: FitRequest, doc: Any,
-                addr: str) -> Optional[FitArtifact]:
-        if not isinstance(doc, dict) or "error" in doc or \
-                "entry" not in doc:
-            return None
-        try:
-            entry = CachedFit.from_dict(doc["entry"])
-        except Exception:
-            return None
-        return FitArtifact.from_entry(
-            entry, key=req.key, engine=self.name, from_cache=False,
-            wall_time_s=float(doc.get("wall_time_s", 0.0)),
-            provenance={"source": "http", "addr": addr})
+    def _fit_queue(self, requests: Sequence[FitRequest]) -> List[_Slot]:
+        """Submit to the daemon's queue and wait; one slot per request.
+
+        A failed job's markers are cleared, so a Session-level local
+        retry is not vetoed by the stale failure.
+        """
+        from ..service.client import wait
+
+        queue = self._queue()
+        # Pre-flight before enqueueing anything: submitting to a queue
+        # nobody serves would orphan jobs for the *next* daemon to
+        # replay as stale work.
+        if not queue.daemon_alive():
+            raise ServiceError(f"no fit daemon is serving {queue.root} "
+                               f"({len(requests)} requests unsubmitted)")
+        keys = [req.key for req in requests]
+        on_retry = (lambda attempt, exc:
+                    get_metrics().counter("service.client.retries").inc())
+        for key, req in zip(keys, requests):
+            # A leftover failure from an earlier episode (broken pool,
+            # killed daemon) must not veto a fresh attempt.
+            got = queue.result(key)
+            if got is not None and got[0] == "failed":
+                queue.forget(key)
+            # Transient submit I/O retries under the budget; a key that
+            # stays unsubmittable raises ServiceError so the Session's
+            # failover chain takes over.
+            try:
+                self.retry.call(
+                    lambda key=key, req=req: queue.submit(
+                        key, {"job": req.to_dict()}),
+                    on_retry=on_retry)
+            except OSError as exc:
+                raise ServiceError(
+                    f"cannot submit fit job {key[:16]}… to "
+                    f"{queue.root}: {exc}") from exc
+        entries, failures = wait(
+            sorted(set(keys)), root=self.config.service_root,
+            timeout_s=self.config.timeout_s, poll_s=self.config.poll_s,
+            require_daemon=True, return_failures=True)
+        slots: List[_Slot] = []
+        for key in keys:
+            entry = entries.get(key)
+            if entry is None:
+                queue.forget(key)
+                slots.append(str(failures.get(key, {}).get(
+                    "error", "unknown error")))
+            else:
+                slots.append((entry, 0.0))
+        return slots
 
     def capabilities(self) -> Dict[str, Any]:
-        addr = self.addr()
+        addr = self.config.resolve_http_addr()
         return {"engine": self.name, "parallel": True, "remote": True,
-                "addr": addr,
-                "alive": self.alive() if addr is not None else False}
+                "transport": TRANSPORT_QUEUE if addr is None
+                else TRANSPORT_HTTP,
+                "target": self.target(), "status": self.status()}
 
     def close(self) -> None:
         if self._client is not None:
@@ -480,8 +465,7 @@ ENGINE_TYPES = {
     ENGINE_INLINE: InlineEngine,
     ENGINE_LANE: LaneEngine,
     ENGINE_POOL: PoolEngine,
-    ENGINE_DAEMON: DaemonEngine,
-    ENGINE_HTTP: HttpEngine,
+    ENGINE_REMOTE: RemoteEngine,
 }
 
 
@@ -496,12 +480,14 @@ def create_engine(name: str, config: Optional[EngineConfig] = None) -> Engine:
 
 
 __all__ = [
-    "DaemonEngine",
     "Engine",
     "ENGINE_TYPES",
-    "HttpEngine",
     "InlineEngine",
     "LaneEngine",
     "PoolEngine",
+    "RemoteEngine",
+    "STATUS_ABSENT",
+    "STATUS_ALIVE",
+    "STATUS_DOWN",
     "create_engine",
 ]

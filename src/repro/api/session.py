@@ -5,8 +5,9 @@ exact-PWL native shortcut), warm-seed selection, the warm-start quality
 guard, engine resolution, and artifact persistence.  The *execution* of
 cache misses is delegated to a pluggable :class:`~repro.api.engines
 .Engine` — inline scalar, lane-batched, process pool, or the shared
-daemon — all of which produce numerically identical artifacts, so the
-engine choice is purely an operational decision.
+``repro serve`` daemon (the remote engine) — all of which produce
+numerically identical artifacts, so the engine choice is purely an
+operational decision.
 
 Typical use::
 
@@ -19,9 +20,10 @@ Typical use::
         sweep = [FitRequest.create("tanh", n) for n in (8, 16, 32)]
         artifacts = s.fit(sweep)
 
-Engine resolution (``engine="auto"``) is deterministic: the daemon when
-one is heartbeating on the configured queue, else the process pool when
-more than one worker resolves (see
+Engine resolution (``engine="auto"``) is deterministic: the remote
+engine when its daemon is alive (an address that answers ``/healthz``
+when one resolves, else a fresh heartbeat on the configured queue),
+else the process pool when more than one worker resolves (see
 :meth:`EngineConfig.resolve_workers`), else the in-process lane engine
 (or the scalar inline engine with ``lane_batch=False``).
 """
@@ -32,7 +34,7 @@ import time
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+                    Union, cast)
 
 import numpy as np
 
@@ -49,10 +51,11 @@ from ..obs.trace import get_tracer
 from .artifact import FitArtifact
 from .breaker import OPEN as BREAKER_OPEN
 from .breaker import CircuitBreaker
-from .config import (ENGINE_AUTO, ENGINE_DAEMON, ENGINE_HTTP, ENGINE_INLINE,
-                     ENGINE_LANE, ENGINE_POOL, FALLBACK_ERROR, FALLBACK_LOCAL,
+from .config import (ENGINE_AUTO, ENGINE_INLINE, ENGINE_LANE, ENGINE_POOL,
+                     ENGINE_REMOTE, FALLBACK_ERROR, FALLBACK_LOCAL,
                      EngineConfig)
-from .engines import Engine, create_engine
+from .engines import (STATUS_ALIVE, STATUS_DOWN, Engine, RemoteEngine,
+                      create_engine)
 from .request import FitRequest
 
 #: Exceptions that indicate the *engine* (not an individual job) failed:
@@ -60,13 +63,6 @@ from .request import FitRequest
 #: engine.  Per-job failures are deterministic properties of the job and
 #: never advance the chain.
 _ENGINE_FAILURES = (ServiceError, TransientError, OSError, BrokenExecutor)
-
-#: Engines whose fits run in another process that owns its own cache
-#: and warm-seed lookup.  They share failover semantics: a pre-flight
-#: liveness check before anything is sent, per-job failures retried
-#: locally (the real reason may be "server died", not the job), and
-#: ``degraded_from`` provenance when the chain moves past them.
-_REMOTE_ENGINES = (ENGINE_HTTP, ENGINE_DAEMON)
 
 #: What :meth:`Session.fit` accepts per element.
 RequestLike = Union[FitRequest, FitJob]
@@ -76,7 +72,7 @@ class Session:
     """Facade over caching, engine selection, and artifact provenance.
 
     ``engine`` is an engine name (``"auto"`` / ``"inline"`` / ``"lane"``
-    / ``"pool"`` / ``"daemon"``) or a full :class:`EngineConfig`.
+    / ``"pool"`` / ``"remote"``) or a full :class:`EngineConfig`.
     ``cache`` is a :class:`~repro.core.batchfit.FitCache`, a directory
     path for one, or ``None`` for the process-wide default (which
     follows ``REPRO_CACHE_DIR``); ``use_cache=False`` disables the
@@ -133,28 +129,27 @@ class Session:
         With ``strict=True`` and ``fallback="error"``, an unreachable
         daemon raises :class:`~repro.errors.ServiceError` instead of
         resolving locally — how deployments assert that nothing ever
-        fits outside the shared pool.  A daemon whose circuit breaker
+        fits outside the shared daemon.  A daemon whose circuit breaker
         is open (see :class:`~repro.api.breaker.CircuitBreaker`) counts
         as unreachable until its cooldown elapses.
         """
         cfg = self.config
         if cfg.engine != ENGINE_AUTO:
             return cfg.engine
-        http = self.engine(ENGINE_HTTP)
-        if http.configured() and \
-                self._breaker(ENGINE_HTTP).state != BREAKER_OPEN and \
-                http.alive():
-            return ENGINE_HTTP
-        daemon = self.engine(ENGINE_DAEMON)
-        if daemon.alive() and \
-                self._breaker(ENGINE_DAEMON).state != BREAKER_OPEN:
-            return ENGINE_DAEMON
+        if self._breaker(ENGINE_REMOTE).state != BREAKER_OPEN and \
+                self._remote().status() == STATUS_ALIVE:
+            return ENGINE_REMOTE
         if strict and cfg.fallback == FALLBACK_ERROR:
-            raise ServiceError(
-                f"no fit daemon is serving "
-                f"{daemon.capabilities()['root']} and fallback='error' "
-                f"({n_requests} requests unfitted)")
+            raise self._no_daemon(n_requests)
         return self._local_engine_name(n_requests)
+
+    def _remote(self) -> RemoteEngine:
+        return cast(RemoteEngine, self.engine(ENGINE_REMOTE))
+
+    def _no_daemon(self, n_requests: int) -> ServiceError:
+        return ServiceError(
+            f"no fit daemon is serving {self._remote().target()} and "
+            f"fallback='error' ({n_requests} requests unfitted)")
 
     def _local_engine_name(self, n_requests: int) -> str:
         cfg = self.config
@@ -177,24 +172,21 @@ class Session:
         """Engines to try, in order, for this batch of misses.
 
         Explicit engines get no failover (the caller asked for exactly
-        that engine); the exception is a *remote* engine
-        (``"daemon"`` / ``"http"``) with ``fallback="local"``, which
-        falls back to a local engine.  ``auto`` produces the full
-        health-tracked chain http → daemon → pool → lane → inline
-        (http only when an address is configured; pool only when the
-        batch and the worker budget both exceed one; lane only with
-        ``lane_batch``).  ``fallback="error"`` pins the chain to the
-        remote engines alone so failures raise instead of degrading.
+        that engine); the exception is the remote engine with
+        ``fallback="local"``, which falls back to a local engine.
+        ``auto`` produces the full health-tracked chain remote → pool →
+        lane → inline (pool only when the batch and the worker budget
+        both exceed one; lane only with ``lane_batch``).
+        ``fallback="error"`` pins the chain to the remote engine alone
+        so failures raise instead of degrading.
         """
         cfg = self.config
         if cfg.engine != ENGINE_AUTO:
-            if cfg.engine in _REMOTE_ENGINES and \
+            if cfg.engine == ENGINE_REMOTE and \
                     cfg.fallback == FALLBACK_LOCAL:
                 return [cfg.engine, self._local_engine_name(n_requests)]
             return [cfg.engine]
-        chain = ([ENGINE_HTTP]
-                 if cfg.resolve_http_addr() is not None else [])
-        chain.append(ENGINE_DAEMON)
+        chain = [ENGINE_REMOTE]
         if cfg.fallback == FALLBACK_ERROR:
             return chain
         if n_requests > 1 and cfg.resolve_workers(n_requests) > 1:
@@ -359,28 +351,24 @@ class Session:
             if not remaining:
                 break
             last = step == len(chain) - 1
-            if name == ENGINE_HTTP and cfg.engine == ENGINE_AUTO:
-                # Pre-flight: one cheap /healthz probe before posting
-                # anything — a configured-but-dead server degrades the
-                # chain instead of burning the transport retry budget.
-                if not self.engine(ENGINE_HTTP).alive() and not last:
-                    degraded.append(ENGINE_HTTP)
-                    continue
-            if name == ENGINE_DAEMON and cfg.engine == ENGINE_AUTO:
-                status = self.engine(ENGINE_DAEMON).heartbeat_status()
-                if status != "alive":
-                    if last:  # fallback="error": strict daemon-only chain
-                        daemon = self.engine(ENGINE_DAEMON)
-                        raise ServiceError(
-                            f"no fit daemon is serving "
-                            f"{daemon.capabilities()['root']} and "
-                            f"fallback='error' ({len(remaining)} requests "
-                            f"unfitted)")
-                    if status == "stale":
-                        # A daemon died recently (heartbeat file exists
-                        # but is old): record the degradation even
+            # The remote engine's fits run in the daemon, which owns its
+            # own cache and warm-seed lookup: a pre-flight before
+            # anything is sent, per-job failures retried locally (the
+            # real reason may be "daemon died", not the job), and
+            # ``degraded_from`` provenance when the chain moves past it.
+            remote = name == ENGINE_REMOTE
+            if remote and cfg.engine == ENGINE_AUTO:
+                # Pre-flight before sending anything: a /healthz probe
+                # when an address resolves, else the queue heartbeat.
+                status = self._remote().status()
+                if status != STATUS_ALIVE:
+                    if last:  # fallback="error": the remote engine alone
+                        raise self._no_daemon(len(remaining))
+                    if status == STATUS_DOWN:
+                        # A dead address or a stale heartbeat (a daemon
+                        # died recently): record the degradation even
                         # though nothing was attempted.
-                        degraded.append(ENGINE_DAEMON)
+                        degraded.append(name)
                     continue
             breaker = self._breaker(name)
             # The final engine is attempted regardless of its breaker:
@@ -410,9 +398,10 @@ class Session:
                     break
             sub_keys = [keys[i] for i in remaining]
             sub_reqs = [reqs[i] for i in remaining]
-            # A remote engine owns its own warm-seed lookup (it sees
-            # the whole shared cache); local engines get seeds here.
-            if name in _REMOTE_ENGINES:
+            # The remote engine's daemon owns its own warm-seed lookup
+            # (it sees the whole shared cache); local engines get seeds
+            # here.
+            if remote:
                 attempted_remote = True
                 sub_seeds: List[Optional[Dict]] = [None] * len(remaining)
                 sub_warm: List[Optional[Dict]] = [None] * len(remaining)
@@ -423,8 +412,7 @@ class Session:
                 sub = engine.fit(sub_reqs, warm=sub_seeds)
             except _ENGINE_FAILURES:
                 breaker.record_failure()
-                if last or (name in _REMOTE_ENGINES and
-                            cfg.engine != ENGINE_AUTO and
+                if last or (remote and cfg.engine != ENGINE_AUTO and
                             cfg.fallback != FALLBACK_LOCAL):
                     raise
                 degraded.append(name)
@@ -432,7 +420,7 @@ class Session:
                                 engine=name).inc()
                 continue
             pending = [j for j, art in enumerate(sub) if art is None]
-            if name in _REMOTE_ENGINES and pending:
+            if remote and pending:
                 breaker.record_failure()
                 if cfg.fallback != FALLBACK_LOCAL and \
                         (last or cfg.engine != ENGINE_AUTO):
@@ -451,7 +439,7 @@ class Session:
             for j, i in enumerate(remaining):
                 art = sub[j]
                 if art is None:
-                    if name in _REMOTE_ENGINES:
+                    if remote:
                         # Remote-side failures are retried on the next
                         # engine; the real reason may be "server died",
                         # not the job.
@@ -484,7 +472,7 @@ class Session:
                     art.provenance.setdefault("degraded_from",
                                               degraded_at[i])
                 if attempted_remote and produced_by[i] is not None and \
-                        produced_by[i] not in _REMOTE_ENGINES:
+                        produced_by[i] != ENGINE_REMOTE:
                     art.provenance["source"] = "local-fallback"
             if warm_meta[i] is not None and not art.from_cache:
                 for field, value in warm_meta[i].items():
@@ -643,7 +631,7 @@ class Session:
             verdict["kept"] = "cold"
             cold.provenance["warm_fallback"] = verdict
             get_metrics().counter("session.guard.verdict", kept="cold").inc()
-            if art.engine not in _REMOTE_ENGINES:
+            if art.engine != ENGINE_REMOTE:
                 self._log_fit(req.key, art, discarded_by_guard=True)
             return cold
         verdict["kept"] = "warm"

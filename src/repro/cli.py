@@ -4,9 +4,9 @@ Commands
 --------
 ``fit``     fit one activation and print the PWL + metrics;
 ``fit-all`` batch-fit many activations through the parallel engine;
-``serve``   run the long-running fit daemon over the shared job queue;
-``serve-http``  run the fit daemon with an HTTP front-end (the network
-            serving tier: one shared cache + pool for a cluster);
+``serve``   run the long-running fit daemon over the shared job queue,
+            and with ``--addr`` over HTTP too (the network serving
+            tier: one shared cache + pool for a cluster);
 ``serve-infer`` hold compiled zoo Programs hot and serve inference
             over HTTP with micro-batching (``run_many`` fusion);
 ``cache``   inspect / clear / prune the persistent fit cache and report
@@ -34,10 +34,10 @@ Environment
 ``REPRO_TRACE``       path of a shared JSONL trace sink; setting it
                       enables tracing in every repro process that
                       inherits the variable;
-``REPRO_SERVE_ADDR``  ``host:port`` of a ``serve-http`` daemon — the
-                      bind address server-side, and the address the
-                      ``http`` engine (and ``engine=auto``) talks to
-                      client-side;
+``REPRO_SERVE_ADDR``  ``host:port`` of the fit daemon's HTTP listener —
+                      the bind address of ``serve`` when ``--addr`` is
+                      not given, and the address the ``remote`` engine
+                      (and ``engine=auto``) talks to client-side;
 ``REPRO_INFER_ADDR``  ``host:port`` of a ``serve-infer`` daemon;
 ``REPRO_INFER_BATCH_MS``  extra wait of ``serve-infer``'s batcher for
                       stragglers, in milliseconds (default 0: take
@@ -150,21 +150,27 @@ def _cmd_fit_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import os
     import signal
     from pathlib import Path
 
     from .core.batchfit import FitCache
     from .service import FitService, ServiceConfig, default_service_dir
+    from .serving.protocol import ENV_SERVE_ADDR
 
+    addr = args.addr or os.environ.get(ENV_SERVE_ADDR) or None
+    if addr is not None and args.once:
+        print("repro serve: --once drains the queue and exits; it cannot "
+              f"also listen on {addr} (--addr / ${ENV_SERVE_ADDR})",
+              file=sys.stderr)
+        return 2
     root = Path(args.dir) if args.dir else default_service_dir()
     cache = FitCache(args.cache_dir) if args.cache_dir else None
     config = ServiceConfig(root=root, max_workers=args.workers,
                            poll_interval_s=args.poll,
                            idle_timeout_s=args.idle_exit,
-                           lane_batch=not args.no_lane_batch)
-    print(f"repro serve: queue at {root}  "
-          f"(workers={args.workers or 'auto'}, "
-          f"idle-exit={args.idle_exit or 'never'})", flush=True)
+                           lane_batch=not args.no_lane_batch,
+                           addr=addr, max_pending=args.max_pending)
 
     def _terminate(signum, frame):  # pragma: no cover - signal path
         # Route SIGTERM through the KeyboardInterrupt cleanup below so
@@ -175,6 +181,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         with FitService(config, cache=cache) as svc:
+            http = (f"fit service at http://{svc.serve_addr}  "
+                    if svc.serve_addr else "")
+            print(f"repro serve: {http}queue at {root}  "
+                  f"(workers={args.workers or 'auto'}, "
+                  f"idle-exit={args.idle_exit or 'never'})", flush=True)
             try:
                 handled = svc.drain() if args.once else svc.serve_forever()
             except KeyboardInterrupt:
@@ -182,49 +193,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"repro serve: exiting after {handled} jobs "
                   f"({svc.failed} failed)", flush=True)
     finally:
-        signal.signal(signal.SIGTERM, previous)
-    return 0
-
-
-def _cmd_serve_http(args: argparse.Namespace) -> int:
-    import os
-    import signal
-    from pathlib import Path
-
-    from .core.batchfit import FitCache
-    from .service import ServiceConfig, default_service_dir
-    from .serving.fit_server import FitHttpServer
-    from .serving.protocol import (DEFAULT_FIT_PORT, ENV_SERVE_ADDR,
-                                   parse_addr)
-
-    host, port = parse_addr(args.addr or os.environ.get(ENV_SERVE_ADDR),
-                            DEFAULT_FIT_PORT)
-    root = Path(args.dir) if args.dir else default_service_dir()
-    cache = FitCache(args.cache_dir) if args.cache_dir else None
-    config = ServiceConfig(root=root, max_workers=args.workers,
-                           lane_batch=not args.no_lane_batch)
-    server = FitHttpServer(config, host=host, port=port,
-                           max_pending=args.max_pending,
-                           drain_queue=not args.no_queue, cache=cache)
-    print(f"repro serve-http: fit service at http://{server.addr}  "
-          f"(queue at {root}"
-          f"{'' if args.no_queue else ', draining'}, "
-          f"workers={args.workers or 'auto'})", flush=True)
-
-    def _terminate(signum, frame):  # pragma: no cover - signal path
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        print(f"repro serve-http: exiting after "
-              f"{server.service.processed} jobs "
-              f"({server.service.failed} failed)", flush=True)
-    finally:
-        server.close()
         signal.signal(signal.SIGTERM, previous)
     return 0
 
@@ -972,7 +940,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit_all.set_defaults(func=_cmd_fit_all)
 
     p_serve = sub.add_parser(
-        "serve", help="run the fit daemon over the shared job queue")
+        "serve", help="run the fit daemon over the shared job queue "
+                      "(and over HTTP with --addr)")
+    p_serve.add_argument("--addr", default=None,
+                         help="also serve fits over HTTP on this bind "
+                              "host:port (default: $REPRO_SERVE_ADDR, "
+                              "else no listener; port 0 picks a free "
+                              "port)")
+    p_serve.add_argument("--max-pending", type=int, default=8,
+                         help="concurrent HTTP fit requests before 429 "
+                              "backpressure (default: 8)")
     p_serve.add_argument("--dir", default=None,
                          help="queue directory (default: "
                               "$REPRO_CACHE_DIR/service)")
@@ -992,32 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fit cache directory (default: "
                               "$REPRO_CACHE_DIR or ~/.cache/repro-flexsfu)")
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_serve_http = sub.add_parser(
-        "serve-http", help="run the fit daemon with an HTTP front-end "
-                           "(the network serving tier)")
-    p_serve_http.add_argument("--addr", default=None,
-                              help="bind host:port (default: "
-                                   "$REPRO_SERVE_ADDR or 127.0.0.1:8173; "
-                                   "port 0 picks a free port)")
-    p_serve_http.add_argument("--dir", default=None,
-                              help="queue directory (default: "
-                                   "$REPRO_CACHE_DIR/service)")
-    p_serve_http.add_argument("--workers", type=int, default=None,
-                              help="fit pool size (default: "
-                                   "$REPRO_MAX_WORKERS or CPU count)")
-    p_serve_http.add_argument("--max-pending", type=int, default=8,
-                              help="concurrent HTTP fit requests before "
-                                   "429 backpressure (default: 8)")
-    p_serve_http.add_argument("--no-queue", action="store_true",
-                              help="serve HTTP only; do not drain the "
-                                   "filesystem job queue")
-    p_serve_http.add_argument("--no-lane-batch", action="store_true",
-                              help="fit misses one-by-one (scalar kernel)")
-    p_serve_http.add_argument("--cache-dir", default=None,
-                              help="fit cache directory (default: "
-                                   "$REPRO_CACHE_DIR)")
-    p_serve_http.set_defaults(func=_cmd_serve_http)
 
     p_serve_infer = sub.add_parser(
         "serve-infer", help="serve compiled zoo models over HTTP with "

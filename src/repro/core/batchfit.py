@@ -1089,8 +1089,9 @@ def plan_units(configs: Dict[str, FitConfig], lane_batch: bool,
     return units
 
 
-def _pool_worker_init() -> None:
-    """Set up a fresh pool worker: default SIGTERM, exit with the parent.
+def _pool_worker_init(fault_plan: Optional[str] = None) -> None:
+    """Set up a fresh pool worker: default SIGTERM, exit with the parent,
+    and the parent's fault plan (``FaultPlan.to_json``) when it has one.
 
     The ``repro serve`` CLI reroutes SIGTERM to ``KeyboardInterrupt``
     for its own clean shutdown; fork-started workers inherit that
@@ -1102,7 +1103,15 @@ def _pool_worker_init() -> None:
     A worker also exits once its parent is gone (a SIGKILLed daemon
     never shuts its pool down): an orphan would otherwise wait on the
     pool's call queue forever, holding the parent's stdout open.
+
+    A spawn- or forkserver-started worker inherits no module state, so
+    a plan enabled in the parent reaches it only through
+    ``fault_plan``; whatever the start method, the worker's injector
+    counts hits from zero.
     """
+    if fault_plan is not None:
+        from ..faults import FaultPlan, enable_faults
+        enable_faults(FaultPlan.parse(fault_plan))
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms

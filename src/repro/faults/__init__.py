@@ -22,6 +22,13 @@ or environmentally (daemons, pool workers, CI chaos jobs)::
     REPRO_FAULTS='{"seed": 7, "rules": [...]}'  repro serve ...
     REPRO_FAULTS=/path/to/plan.json             repro serve ...
 
+A process pool the ``pool`` engine opens ships the parent's active plan
+to every worker it starts, so a plan enabled in the parent fires inside
+the workers whatever the start method (fork, spawn or forkserver).
+Each worker enables its own injector: it counts hits from zero, so an
+``at=(0,)`` rule on ``fit.worker`` fires once in every worker, not once
+per pool.
+
 Shipped injection sites (prefix-matchable with ``"queue.*"`` etc.):
 
 =========================  ===========================================

@@ -45,7 +45,8 @@ The network serving tier adds:
 * ``serving.fit.requests`` / ``serving.fit.jobs`` /
   ``serving.fit.jobs_failed`` / ``serving.fit.batch_jobs`` /
   ``serving.fit.latency_s`` / ``serving.fit.rejected`` — fit batches
-  served by ``serve-http`` and its 429 backpressure rejections;
+  served by the ``repro serve --addr`` listener and its 429
+  backpressure rejections;
 * ``serving.infer.requests`` / ``serving.infer.batches`` /
   ``serving.infer.batch_size`` / ``serving.infer.batch_occupancy`` /
   ``serving.infer.batch_latency_s`` / ``serving.infer.latency_s`` /

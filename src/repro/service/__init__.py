@@ -8,11 +8,12 @@ fitted.  This subsystem centralises that:
 * :mod:`~repro.service.daemon` — ``repro serve``: one long-running
   process fits every claimed batch through one
   :class:`~repro.api.Session` on the ``pool`` engine (a process pool
-  per batch) against the shared on-disk fit cache;
+  per batch) against the shared on-disk fit cache, and with ``--addr``
+  serves the same fits over HTTP (:mod:`repro.serving.fit_server`);
 * :mod:`~repro.service.queue` — the durable job queue (atomic claim via
   ``os.replace``, deduplicated by fit-cache key);
 * :mod:`~repro.service.client` — ``submit`` / ``wait``, the primitives
-  :class:`repro.api.DaemonEngine` builds on;
+  the queue transport of :class:`repro.api.RemoteEngine` builds on;
 * :mod:`~repro.service.spec` — :class:`FunctionSpec`, the serialisable
   function description that lets unregistered (``make_custom``-built)
   activations travel to worker processes and be cache-keyed by content.

@@ -2,10 +2,10 @@
 
 A client process never fits anything itself when a daemon is serving:
 it checks the shared on-disk cache, enqueues the misses, and waits for
-``done`` markers.  :class:`repro.api.DaemonEngine` builds on
-:func:`submit`/:func:`wait`; ``Session(EngineConfig(service_root=...,
-fallback=...))`` is the front end, with transparent local fallback when
-no daemon is serving.
+``done`` markers.  The queue transport of :class:`repro.api
+.RemoteEngine` builds on :func:`wait`; ``Session(EngineConfig(
+service_root=..., fallback=...))`` is the front end, with transparent
+local fallback when no daemon is serving.
 
 All coordination is file-based (queue directory + cache directory), so
 "client" and "daemon" only need a filesystem in common.

@@ -10,6 +10,13 @@ seeds run once for the batch, and its misses fan out over a process
 pool opened for that batch (a one-unit batch fits in the daemon's own
 process), so every client shares one cache instead of refitting.
 
+With ``ServiceConfig.addr`` set, the same daemon also listens for
+``POST /v1/fit`` over HTTP (:mod:`repro.serving.fit_server`), so hosts
+without the queue's filesystem share its cache too.  Both paths fit
+through :meth:`FitService.fit_jobs`, and the queue loop always runs, so
+the daemon drains every queue it heartbeats on.  The heartbeat carries
+the listener's address (``serve_addr``).
+
 Robustness model: a batch failure falls back to per-job execution, and a
 job failure is published to the queue's ``failed/`` state instead of
 taking the daemon down.  Claims orphaned by a crashed daemon are
@@ -40,6 +47,7 @@ from .retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.artifact import FitArtifact
+    from ..serving.http import ServerThread
 
 #: Metrics snapshot the daemon exports next to its heartbeat — what a
 #: fresh `repro metrics` process reads (its own in-process registry
@@ -62,6 +70,9 @@ class ServiceConfig:
     prune_results_s: float = 3600.0        # done/failed marker retention
     max_attempts: int = DEFAULT_MAX_ATTEMPTS  # claim budget before dead/
     retry_base_delay_s: float = 0.05       # per-job fallback backoff base
+    addr: Optional[str] = None             # HTTP bind host:port (None: no
+    #                                        listener; port 0: a free port)
+    max_pending: int = 8                   # concurrent HTTP fits before 429
 
 
 def result_doc(art: FitArtifact) -> Dict[str, Any]:
@@ -77,7 +88,8 @@ def _count_retry(attempt: int, exc: BaseException) -> None:
 
 
 class FitService:
-    """Claims queued jobs and fits them through one pool-engine Session."""
+    """Claims queued jobs — and, with ``config.addr`` set, answers HTTP
+    fit requests — fitting both through one pool-engine Session."""
 
     def __init__(self, config: Optional[ServiceConfig] = None,
                  cache: Optional[FitCache] = None) -> None:
@@ -104,16 +116,31 @@ class FitService:
             cache=cache if cache is not None else default_cache())
         self.processed = 0
         self.failed = 0
-        # When an HTTP front-end (repro serve-http) embeds this
-        # service, its bind address is advertised in the heartbeat so
-        # `repro queue status`-style tooling can discover live servers.
-        self.serve_addr: Optional[str] = None
-        # The queue-drain loop and the HTTP fit endpoint share one
-        # Session; the lock serializes its fits across the two threads.
+        # The queue loop and the HTTP fit endpoint share one Session;
+        # the lock serializes its fits across the two threads.
         self.fit_lock = threading.RLock()
         self._stop = False
+        self._loop_done = threading.Event()
+        self._loop_done.set()
+        # When the last fit on either path ended (idle exit; monotonic).
+        self._fitted_at = clock.mono()
         self._hb_stop = threading.Event()
         self._hb_thread: Optional[threading.Thread] = None
+        # The optional HTTP listener, bound now so its address (and the
+        # heartbeat's serve_addr, which `repro queue status` prints) is
+        # known before serving starts.
+        self.serve_addr: Optional[str] = None
+        self._listener: Optional[ServerThread] = None
+        if self.config.addr is not None:
+            from ..serving import http
+            from ..serving.fit_server import FitHttpApp
+            from ..serving.protocol import DEFAULT_FIT_PORT, parse_addr
+
+            server = http.ServingHTTPServer(
+                parse_addr(self.config.addr, DEFAULT_FIT_PORT),
+                FitHttpApp(self, max_pending=self.config.max_pending))
+            self._listener = http.ServerThread(server)
+            self.serve_addr = server.bound_addr
 
     # ------------------------------------------------------------------ #
     # Serving
@@ -129,21 +156,27 @@ class FitService:
         hits.  The queue loop and the HTTP endpoint both fit here.
         """
         try:
-            with self.fit_lock:
-                return list(self.session.fit(jobs))
+            return list(self._fit(jobs))
         except Exception:
             pass  # isolate: each job alone, below
         out: List[Union[FitArtifact, Exception]] = []
         for job in jobs:
             def one(job: FitJob = job) -> FitArtifact:
-                with self.fit_lock:
-                    [art] = self.session.fit([job])
+                [art] = self._fit([job])
                 return art
             try:
                 out.append(self.retry.call(one, on_retry=_count_retry))
             except Exception as exc:
                 out.append(exc)
         return out
+
+    def _fit(self, jobs: Sequence[FitJob]) -> List[FitArtifact]:
+        """One ``Session.fit`` under the lock; stamps the last activity."""
+        with self.fit_lock:
+            try:
+                return self.session.fit(jobs)
+            finally:
+                self._fitted_at = clock.mono()
 
     def run_once(self) -> int:
         """Claim and process one batch; returns the number handled."""
@@ -260,9 +293,21 @@ class FitService:
     def serve_forever(self) -> int:
         """Blocking serve loop; returns total jobs handled.
 
-        Exits when :meth:`stop` is called (e.g. from a signal handler)
-        or after ``idle_timeout_s`` without work.
+        Starts the HTTP listener (when configured) on its own thread,
+        then drains the queue.  Exits when :meth:`stop` or
+        :meth:`close` is called (e.g. from a signal handler or another
+        thread) or after ``idle_timeout_s`` without a fit on either
+        path.
         """
+        self._loop_done.clear()
+        try:
+            if self._listener is not None:
+                self._listener.start()
+            return self._serve_queue()
+        finally:
+            self._loop_done.set()
+
+    def _serve_queue(self) -> int:
         cfg = self.config
         self.queue.requeue_stale(cfg.requeue_stale_s)
         self.queue.prune_results(cfg.prune_results_s)
@@ -297,9 +342,13 @@ class FitService:
             if n:
                 idle_since = now
                 continue  # drain eagerly while work keeps arriving
-            if (cfg.idle_timeout_s is not None
-                    and now - idle_since > cfg.idle_timeout_s):
-                break
+            if cfg.idle_timeout_s is not None:
+                # An HTTP fit counts as work too: wait out one in
+                # progress, then count from the end of the last one.
+                with self.fit_lock:
+                    idle_since = max(idle_since, self._fitted_at)
+                if now - idle_since > cfg.idle_timeout_s:
+                    break
             time.sleep(cfg.poll_interval_s)
         return self.processed
 
@@ -321,7 +370,14 @@ class FitService:
         self._stop = True
 
     def close(self) -> None:
-        """Release the Session and the heartbeat."""
+        """Stop the listener, then the queue loop, the heartbeat and
+        the Session (idempotent)."""
+        if self._listener is not None:
+            self._listener.stop()  # shutdown + join + server_close
+            self._listener = None
+        self.stop()
+        # A loop on another thread finishes its batch first (bounded).
+        self._loop_done.wait(timeout=30.0)
         self._hb_stop.set()
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=5.0)

@@ -7,10 +7,10 @@ only re-exports the leaf protocol so ``repro.service`` ↔
 * :mod:`repro.serving.protocol` — the versioned JSON wire protocol;
 * :mod:`repro.serving.http` — shared server machinery (threaded HTTP
   server, ``/healthz`` / ``/version`` / ``/metrics``, fault sites);
-* :mod:`repro.serving.client` — :class:`ServingClient`, the one
-  transport used by ``HttpEngine``, the CLI, and the benchmarks;
-* :mod:`repro.serving.fit_server` — ``repro serve-http`` (the fit
-  service over the network);
+* :mod:`repro.serving.client` — :class:`ServingClient`, the one HTTP
+  client, used by the remote engine, the CLI, and the benchmarks;
+* :mod:`repro.serving.fit_server` — the fit daemon's HTTP listener
+  (``repro serve --addr``: the fit service over the network);
 * :mod:`repro.serving.infer_server` — ``repro serve-infer`` (hot
   compiled Programs with micro-batching).
 """

@@ -1,10 +1,10 @@
 """HTTP client for the serving tier (stdlib ``http.client`` only).
 
 :class:`ServingClient` is the one way the rest of the package talks to
-a ``serve-http`` / ``serve-infer`` daemon: :class:`~repro.api.engines
-.HttpEngine`, the CLI smoke paths, and the benchmark harness all go
-through it, so transport-error classification lives in exactly one
-place:
+a ``repro serve --addr`` / ``serve-infer`` daemon: the HTTP transport
+of :class:`~repro.api.engines.RemoteEngine`, the CLI smoke paths, and
+the benchmark harness all go through it, so transport-error
+classification lives in exactly one place:
 
 * connection refused / reset / timeout → ``OSError`` — retryable by
   :class:`~repro.service.retry.RetryPolicy` and an *engine-level*
@@ -188,13 +188,11 @@ class ServingClient:
         finally:
             probe.close()
 
-    def fit(self, jobs: List[Dict[str, Any]],
-            warm: bool = True) -> List[Dict[str, Any]]:
+    def fit(self, jobs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         """POST job documents; returns per-job result documents
         (``{"key", "entry", "from_cache", "wall_time_s"}`` or
         ``{"error": ...}``), order-aligned with ``jobs``."""
-        doc = {"protocol": PROTOCOL_VERSION, "requests": list(jobs),
-               "warm": bool(warm)}
+        doc = {"protocol": PROTOCOL_VERSION, "requests": list(jobs)}
         payload = self.request("POST", ROUTE_FIT, doc)
         results = payload.get("results")
         if not isinstance(results, list) or len(results) != len(jobs):

@@ -1,14 +1,14 @@
-"""``repro serve-http`` — the fit service over the network.
+"""The fit daemon's HTTP listener: ``repro serve --addr``.
 
-One :class:`FitHttpServer` puts an HTTP front-end on a
-:class:`~repro.service.daemon.FitService`, so one shared
+:class:`FitHttpApp` is what a :class:`~repro.service.daemon.FitService`
+runs on its optional listener (``ServiceConfig.addr``), so one shared
 :class:`~repro.core.batchfit.FitCache` and the service's pool-engine
-Session serve a whole cluster instead of one filesystem.  The embedded
-service still drains the file-backed job queue (same-host clients keep
-working unchanged); HTTP requests fit through the *same* Session under
-the service's ``fit_lock``, read through the same cache, and publish
-into the same heartbeat — which advertises the bind address and
-protocol version so ``repro queue status`` can discover live servers.
+Session serve a whole cluster instead of one filesystem.  The daemon
+keeps draining its file-backed job queue beside the listener; HTTP
+requests fit through the *same* Session under the service's
+``fit_lock``, read through the same cache, and publish into the same
+heartbeat — which advertises the bind address and protocol version so
+``repro queue status`` can discover live servers.
 
 Request flow for ``POST /v1/fit``:
 
@@ -22,8 +22,8 @@ Request flow for ``POST /v1/fit``:
    batch, with its batch→per-job isolation fallback;
 5. per-job result documents ``{"key", "entry", "from_cache",
    "wall_time_s"}`` — byte-compatible with the queue's ``done/``
-   payloads, so :class:`~repro.api.engines.HttpEngine` and
-   ``DaemonEngine`` decode through the same ``CachedFit`` schema.
+   payloads, so :class:`~repro.api.engines.RemoteEngine` decodes both
+   transports through the same ``CachedFit`` schema.
 """
 
 from __future__ import annotations
@@ -31,22 +31,26 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional
 
-from ..core.batchfit import FitCache, FitJob, job_from_dict
+from ..core.batchfit import FitJob, job_from_dict
+from ..errors import ServiceError
 from ..obs import clock
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
-from ..service.daemon import FitService, ServiceConfig, result_doc
-from .http import Response, ServerThread, ServingApp, ServingHTTPServer
-from .protocol import (DEFAULT_FIT_PORT, DEFAULT_HOST, ROUTE_FIT,
-                       check_protocol, error_doc)
+from ..service.daemon import FitService, result_doc
+from .http import Response, ServingApp
+from .protocol import ROUTE_FIT, check_protocol, error_doc
 
 
 class FitHttpApp(ServingApp):
-    """Routes ``POST /v1/fit`` onto an embedded :class:`FitService`."""
+    """Routes ``POST /v1/fit`` onto the :class:`FitService` it serves."""
 
     role = "fit"
 
     def __init__(self, service: FitService, max_pending: int = 8) -> None:
+        if max_pending < 1:
+            # A zero-slot semaphore would answer every fit with 429.
+            raise ServiceError(
+                f"max_pending must be >= 1, got {max_pending}")
         self.service = service
         self.max_pending = max_pending
         # Admission control: at most max_pending fit requests fitting /
@@ -124,79 +128,4 @@ class FitHttpApp(ServingApp):
         return results
 
 
-class FitHttpServer:
-    """The ``serve-http`` daemon: HTTP front-end + queue drain.
-
-    ``drain_queue=True`` (the CLI default) keeps the classic
-    same-filesystem path alive: a background thread runs the embedded
-    service's queue loop while the HTTP server answers network
-    clients.  Tests and benchmarks embed with ``drain_queue=False`` for
-    an HTTP-only server with deterministic teardown.
-    """
-
-    def __init__(self, service_config: Optional[ServiceConfig] = None,
-                 host: str = DEFAULT_HOST, port: int = DEFAULT_FIT_PORT,
-                 max_pending: int = 8, drain_queue: bool = True,
-                 cache: Optional[FitCache] = None) -> None:
-        self.service = FitService(service_config, cache=cache)
-        self.app = FitHttpApp(self.service, max_pending=max_pending)
-        self.server = ServingHTTPServer((host, port), self.app)
-        self.service.serve_addr = self.server.bound_addr
-        self.drain_queue = drain_queue
-        self._runner: Optional[ServerThread] = None
-        self._drain_thread: Optional[threading.Thread] = None
-        self._closed = False
-
-    @property
-    def addr(self) -> str:
-        return self.server.bound_addr
-
-    def _start_drain(self) -> None:
-        if not self.drain_queue:
-            # No queue loop → no heartbeat refresher either; start it
-            # so the heartbeat still advertises the bind address.
-            self.service._write_heartbeat()
-            self.service._start_heartbeat_thread()
-            return
-        self._drain_thread = threading.Thread(
-            target=self.service.serve_forever, daemon=True,
-            name="repro-fit-queue-drain")
-        self._drain_thread.start()
-
-    def start(self) -> str:
-        """Background both loops (tests / embedding); returns addr."""
-        self._start_drain()
-        self._runner = ServerThread(self.server)
-        return self._runner.start()
-
-    def serve_forever(self) -> None:
-        """Blocking serve (the CLI path); exits on :meth:`close` from
-        another thread or an interrupt in this one."""
-        self._start_drain()
-        self.server.serve_forever(poll_interval=0.1)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._runner is not None:
-            self._runner.stop()  # shutdown + join + server_close
-        else:
-            # CLI path: serve_forever already exited (interrupt) —
-            # shutdown() would deadlock on a loop that never ran.
-            self.server.server_close()
-        self.service.stop()
-        if self._drain_thread is not None:
-            self._drain_thread.join(timeout=10.0)
-            self._drain_thread = None
-        self.service.close()
-
-    def __enter__(self) -> "FitHttpServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-__all__ = ["FitHttpApp", "FitHttpServer"]
+__all__ = ["FitHttpApp"]

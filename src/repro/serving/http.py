@@ -2,7 +2,7 @@
 
 One :class:`ServingHTTPServer` (a ``ThreadingHTTPServer``) dispatches
 requests to a :class:`ServingApp` — the small object a concrete server
-(``serve-http``, ``serve-infer``) implements.  The base app owns the
+(the ``repro serve --addr`` fit listener, ``serve-infer``) implements.  The base app owns the
 three endpoints every repro server answers identically:
 
 * ``GET /healthz`` — liveness probe for clients and CI;
@@ -260,8 +260,11 @@ class ServerThread:
         return self.server.bound_addr
 
     def stop(self) -> None:
-        self.server.shutdown()
-        self._thread.join(timeout=5.0)
+        # shutdown() waits for serve_forever to acknowledge: on a loop
+        # that never started it would wait forever.
+        if self._thread.is_alive():
+            self.server.shutdown()
+            self._thread.join(timeout=5.0)
         self.server.server_close()
         self.server.app.close()
 

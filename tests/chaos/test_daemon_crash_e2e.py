@@ -120,7 +120,7 @@ def test_sigkill_mid_batch_requeue_and_local_failover(tmp_path):
     with Session(cfg, cache=cache_dir / "fits") as s:
         art = s.fit_one(FitRequest.from_job(job))
     assert not art.from_cache
-    assert art.provenance["degraded_from"] == ["daemon"]
+    assert art.provenance["degraded_from"] == ["remote"]
     assert art.grid_mse < 1.0
 
     # 4. Nothing was ever double-published for the key.

@@ -1,8 +1,15 @@
 """The fault layer itself: deterministic schedules, gating, round-trip."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import ReproError, TransientError
 from repro.faults import (FaultInjector, FaultPlan, FaultRule, InjectedCrash,
@@ -138,6 +145,64 @@ class TestGating:
         finally:
             disable_faults()
         assert clock._wall_offset is None
+
+
+_POOL_SCRIPT = textwrap.dedent("""
+    import json
+    import multiprocessing
+    import sys
+
+    from repro.api import EngineConfig, FitRequest, Session
+    from repro.core.fit import FitConfig
+    from repro.errors import FitError
+    from repro.faults import FaultPlan, FaultRule, enable_faults, get_faults
+
+    if __name__ == "__main__":
+        method, rule = sys.argv[1], FaultRule.from_dict(json.loads(sys.argv[2]))
+        multiprocessing.set_start_method(method)
+        enable_faults(FaultPlan(rules=(rule,)))
+        try:  # one hit in the parent first: workers must not inherit it
+            get_faults().check("fit.worker")
+        except Exception:
+            pass
+        tiny = FitConfig(n_breakpoints=4, max_steps=20, refine_steps=10,
+                         max_refine_rounds=1, polish_maxiter=20,
+                         grid_points=128)
+        reqs = [FitRequest.create(name, 4, config=tiny)
+                for name in ("tanh", "sigmoid")]
+        engine = EngineConfig(engine="pool", max_workers=2,
+                              lane_batch=False)
+        with Session(engine, use_cache=False) as session:
+            try:
+                session.fit(reqs)
+            except FitError as exc:
+                print("FitError:", exc)
+                sys.exit(0)
+        print("both fits came back")
+        sys.exit(1)
+""")
+
+
+class TestPoolWorkers:
+    """A plan enabled in the parent fires in its pool workers, whatever
+    the start method, and each worker counts hits from zero."""
+
+    @pytest.mark.parametrize("method, rule", [
+        ("spawn", FaultRule(site="fit.worker", kind="error", p=1.0)),
+        ("fork", FaultRule(site="fit.worker", kind="error", at=(0,))),
+    ])
+    def test_parent_plan_fires_in_pool_workers(self, method, rule,
+                                               tmp_path):
+        script = tmp_path / "pool_faults.py"
+        script.write_text(_POOL_SCRIPT)
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_FAULTS"}
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, str(script), method, json.dumps(rule.to_dict())],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (proc.stdout, proc.stderr)
+        assert "InjectedFault" in proc.stdout
 
 
 class TestPlanSerialisation:

@@ -1,6 +1,10 @@
-"""Shared fixtures: fast fit configurations and small graphs."""
+"""Shared fixtures: fast fit configurations, small graphs, a fit daemon."""
 
 from __future__ import annotations
+
+import contextlib
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -50,3 +54,36 @@ def tiny_attention_graph():
 def rng():
     """Deterministic RNG for test data."""
     return np.random.default_rng(12345)
+
+
+@contextlib.contextmanager
+def _running_fit_service(config, cache=None):
+    """A :class:`FitService` serving (queue loop, plus its HTTP listener
+    when ``config.addr`` is set) on a background thread, from its first
+    heartbeat until the block exits; then closed, loop joined."""
+    from repro.service.daemon import FitService
+
+    svc = FitService(config, cache=cache)
+    loop = threading.Thread(target=svc.serve_forever, daemon=True,
+                            name="fit-service-loop")
+    loop.start()
+    try:
+        deadline = time.monotonic() + 30.0
+        while not svc.queue.daemon_alive():  # first heartbeat written
+            assert loop.is_alive(), "serve loop died before heartbeating"
+            assert time.monotonic() < deadline, "daemon never heartbeated"
+            time.sleep(0.01)
+        yield svc
+    finally:
+        svc.close()
+        loop.join(timeout=30.0)
+        assert not loop.is_alive(), "serve loop outlived close()"
+
+
+@pytest.fixture(scope="session")
+def fit_daemon():
+    """``with fit_daemon(ServiceConfig(...), cache=...) as svc``: an
+    in-process fit daemon serving on a thread (see
+    :func:`_running_fit_service`); session-scoped so module-scoped
+    fixtures can use it."""
+    return _running_fit_service

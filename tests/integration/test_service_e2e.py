@@ -124,7 +124,7 @@ class TestDaemonEndToEnd:
                     raise payload
                 assert len(payload) == 2
                 for _, source, mse in payload:
-                    assert source in ("daemon", "cache")
+                    assert source in ("remote", "cache")
                     assert mse < 1e-2
 
             # Deduplication: 3 unique keys -> exactly 3 cache entries
@@ -165,7 +165,7 @@ class TestDaemonEndToEnd:
             cache = FitCache(fits)
             [res] = _fit([job], root, cache, fallback="error",
                          timeout_s=90.0)
-            assert res.engine == "daemon"
+            assert res.engine == "remote"
             # The fitted PWL approximates the *original* closure even
             # though only samples ever crossed the process boundary.
             xs = np.linspace(-6.0, 6.0, 501)
@@ -202,7 +202,7 @@ class TestNoDaemonBehaviour:
     def test_fallback_local(self, tmp_path):
         jobs = [make_job("tanh", 4, config=_TINY)]
         [res] = _fit(jobs, tmp_path / "queue", FitCache(tmp_path / "fits"))
-        assert res.engine not in ("daemon", "cache")
+        assert res.engine not in ("remote", "cache")
         assert not res.from_cache
         [again] = _fit(jobs, tmp_path / "queue", FitCache(tmp_path / "fits"))
         assert again.engine == "cache"

@@ -1,10 +1,10 @@
 """End-to-end serving tier: real daemons in separate interpreters.
 
-The acceptance scenarios for the network tier: a ``repro serve-http``
+The acceptance scenarios for the network tier: a ``repro serve --addr``
 subprocess answering fit requests over the wire, a clean SIGTERM
 shutdown, and — the failover contract — SIGKILL mid-batch with a
 Session that degrades to a local engine, recording
-``degraded_from=["http"]`` in the artifacts it produces instead.
+``degraded_from=["remote"]`` in the artifacts it produces instead.
 """
 
 import os
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api import ENGINE_HTTP, EngineConfig, FitRequest, Session
+from repro.api import ENGINE_REMOTE, EngineConfig, FitRequest, Session
 from repro.core.batchfit import FitCache
 from repro.core.fit import FitConfig
 from repro.serving.client import ServingClient
@@ -38,8 +38,8 @@ def _env(cache_dir: Path) -> dict:
     return env
 
 
-def _spawn_serve_http(tmp: Path, *extra: str) -> subprocess.Popen:
-    cmd = [sys.executable, "-m", "repro", "serve-http",
+def _spawn_fit_daemon(tmp: Path, *extra: str) -> subprocess.Popen:
+    cmd = [sys.executable, "-m", "repro", "serve",
            "--addr", "127.0.0.1:0", "--dir", str(tmp / "queue"),
            "--cache-dir", str(tmp / "server-cache"), "--workers", "2",
            *extra]
@@ -66,28 +66,28 @@ def _read_addr(proc: subprocess.Popen, timeout_s: float = 60.0) -> str:
     client = ServingClient(addr)
     while not client.alive(timeout_s=1.0):
         if proc.poll() is not None:
-            raise RuntimeError(f"serve-http exited early:\n"
+            raise RuntimeError(f"daemon exited early:\n"
                                f"{proc.stdout.read()}")
         if time.monotonic() > deadline:
             proc.kill()
-            raise RuntimeError("serve-http never became healthy")
+            raise RuntimeError("daemon never became healthy")
         time.sleep(0.05)
     return addr
 
 
 class TestServeHttpEndToEnd:
     def test_fit_over_the_wire_then_clean_sigterm(self, tmp_path):
-        proc = _spawn_serve_http(tmp_path)
+        proc = _spawn_fit_daemon(tmp_path)
         try:
             addr = _read_addr(proc)
-            cfg = EngineConfig(engine="http", http_addr=addr,
+            cfg = EngineConfig(engine="remote", http_addr=addr,
                                fallback="error", warm_start=False)
             with Session(cfg, cache=FitCache(tmp_path / "client")) as s:
                 arts = s.fit([FitRequest.create("tanh", 4, config=_TINY),
                               FitRequest.create("sigmoid", 4,
                                                 config=_TINY)])
-            assert all(a.engine == ENGINE_HTTP for a in arts)
-            assert all(a.provenance["source"] == "http" for a in arts)
+            assert all(a.engine == ENGINE_REMOTE for a in arts)
+            assert all(a.provenance["transport"] == "http" for a in arts)
         finally:
             proc.terminate()
             out, _ = proc.communicate(timeout=30)
@@ -95,7 +95,7 @@ class TestServeHttpEndToEnd:
         assert "exiting after" in out, out
 
     def test_sigkill_mid_batch_degrades_to_local(self, tmp_path):
-        proc = _spawn_serve_http(tmp_path)
+        proc = _spawn_fit_daemon(tmp_path)
         addr = _read_addr(proc)
         # Enough jobs that the server is still fitting when the KILL
         # lands ~50ms into the batch POST.
@@ -104,7 +104,7 @@ class TestServeHttpEndToEnd:
                 for n in (4, 5)]
         killer = threading.Timer(0.05, os.kill,
                                  args=(proc.pid, signal.SIGKILL))
-        cfg = EngineConfig(engine="http", http_addr=addr,
+        cfg = EngineConfig(engine="remote", http_addr=addr,
                            fallback="local", warm_start=False,
                            retry_max_attempts=1)
         try:
@@ -116,12 +116,12 @@ class TestServeHttpEndToEnd:
             proc.kill()
             proc.communicate(timeout=30)
         # The batch must complete locally, with honest provenance: the
-        # chain degraded past the dead http engine.
+        # chain degraded past the dead remote engine.
         assert all(a is not None for a in arts)
         for art in arts:
-            assert art.engine != ENGINE_HTTP
+            assert art.engine != ENGINE_REMOTE
             if not art.from_cache:
-                assert art.provenance["degraded_from"] == ["http"]
+                assert art.provenance["degraded_from"] == ["remote"]
                 assert art.provenance["source"] == "local-fallback"
 
 

@@ -3,8 +3,9 @@
 The engine choice is an operational decision, never a numerical one:
 for any shape-compatible sweep, ``inline`` (sequential scalar fits),
 ``lane`` (one lock-step batch), ``pool`` (lane-batched units on a
-process pool), and ``http`` (the same fits behind a ``serve-http``
-daemon and a JSON round-trip) must produce byte-identical PWLs and
+process pool), and ``remote`` on both of its transports (the same fits
+run by a ``repro serve`` daemon, reached over HTTP with a JSON round
+trip, or through its file queue) must produce byte-identical PWLs and
 identical ``grid_mse`` / step counts.  This leans on — and end-to-end
 re-checks — the lane kernel's bit-for-bit equivalence contract
 (:mod:`repro.core.lanefit`) plus the wire protocol's lossless array
@@ -17,10 +18,13 @@ import pytest
 from repro.api import EngineConfig, FitRequest, Session
 from repro.core.batchfit import FitCache
 from repro.core.fit import FitConfig
-from repro.serving.fit_server import FitHttpServer
+from repro.serving.protocol import ENV_SERVE_ADDR
 from repro.service.daemon import ServiceConfig
 
-_ENGINES = ("inline", "lane", "pool", "http")
+#: Sweep legs: label -> (engine, remote transport or None).
+_LEGS = {"inline": ("inline", None), "lane": ("lane", None),
+         "pool": ("pool", None), "remote-http": ("remote", "http"),
+         "remote-queue": ("remote", "queue")}
 
 #: Cheap but non-trivial: two budgets (two lane groups), mixed boundary
 #: policies, warm starts off so every engine sees identical cold work.
@@ -38,40 +42,50 @@ def _sweep():
 
 
 @pytest.fixture(scope="module")
-def per_engine_artifacts(tmp_path_factory):
+def per_engine_artifacts(tmp_path_factory, fit_daemon):
     out = {}
-    for engine in _ENGINES:
-        cache = FitCache(tmp_path_factory.mktemp(f"cache-{engine}"))
-        if engine == "http":
-            # An embedded serve-http daemon with its own cold cache: the
-            # fits run server-side and round-trip through JSON.
-            root = tmp_path_factory.mktemp("http-server")
-            with FitHttpServer(
-                    ServiceConfig(root=root / "queue", warm_start=False),
-                    port=0, drain_queue=False,
-                    cache=FitCache(root / "cache")) as server:
-                config = EngineConfig(engine="http",
-                                      http_addr=server.addr,
+    with pytest.MonkeyPatch.context() as mp:
+        # The queue leg must not pick up an address from the
+        # environment: the transport follows configuration alone.
+        mp.delenv(ENV_SERVE_ADDR, raising=False)
+        for label, (engine, transport) in _LEGS.items():
+            cache = FitCache(tmp_path_factory.mktemp(f"cache-{label}"))
+            if engine != "remote":
+                config = EngineConfig(engine=engine, warm_start=False)
+                with Session(config, cache=cache) as session:
+                    out[label] = session.fit(_sweep())
+                continue
+            # An in-process daemon with its own cold cache: the fits
+            # run daemon-side and come back over the transport.
+            root = tmp_path_factory.mktemp(f"daemon-{label}")
+            with fit_daemon(
+                    ServiceConfig(root=root / "queue", warm_start=False,
+                                  poll_interval_s=0.02,
+                                  addr="127.0.0.1:0"
+                                  if transport == "http" else None),
+                    cache=FitCache(root / "cache")) as svc:
+                config = EngineConfig(engine="remote",
+                                      http_addr=svc.serve_addr,
+                                      service_root=svc.queue.root,
                                       warm_start=False)
                 with Session(config, cache=cache) as session:
-                    out[engine] = session.fit(_sweep())
-        else:
-            config = EngineConfig(engine=engine, warm_start=False)
-            with Session(config, cache=cache) as session:
-                out[engine] = session.fit(_sweep())
+                    out[label] = session.fit(_sweep())
     return out
 
 
 class TestEngineEquivalence:
     def test_every_engine_reports_itself(self, per_engine_artifacts):
-        for engine, arts in per_engine_artifacts.items():
+        for label, arts in per_engine_artifacts.items():
+            engine, transport = _LEGS[label]
             assert all(a.engine == engine for a in arts)
+            assert all(a.provenance.get("transport") == transport
+                       for a in arts)
             assert not any(a.from_cache for a in arts)
 
     def test_artifacts_bitwise_equal_across_engines(self,
                                                     per_engine_artifacts):
         reference = per_engine_artifacts["inline"]
-        for engine in _ENGINES[1:]:
+        for engine in list(_LEGS)[1:]:
             arts = per_engine_artifacts[engine]
             for ref, art in zip(reference, arts):
                 label = f"{engine}:{art.function}@" \
@@ -91,7 +105,7 @@ class TestEngineEquivalence:
     def test_artifact_documents_differ_only_in_provenance(
             self, per_engine_artifacts):
         reference = per_engine_artifacts["inline"]
-        for engine in _ENGINES[1:]:
+        for engine in list(_LEGS)[1:]:
             for ref, art in zip(reference, per_engine_artifacts[engine]):
                 a, b = ref.to_dict(), art.to_dict()
                 # wall time and engine lineage are allowed to differ...

@@ -81,6 +81,12 @@ class TestSessionBasics:
             create_engine("quantum")
         assert "auto" in ENGINE_NAMES
 
+    def test_retired_engine_names_are_unknown(self):
+        assert ENGINE_NAMES == ("auto", "inline", "lane", "pool", "remote")
+        for name in ("daemon", "http"):
+            with pytest.raises(FitError):
+                EngineConfig(engine=name)
+
 
 class TestCompile:
     """``Session.compile`` optimizes unless told ``passes=[]``."""
@@ -134,6 +140,14 @@ class TestEngineResolution:
         assert Session().resolve_engine_name(4) == "pool"
         # A single request never pays pool overhead.
         assert Session().resolve_engine_name(1) == "lane"
+
+    def test_auto_failover_chain_has_four_stages(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "4")
+        assert Session()._failover_chain(4) == [
+            "remote", "pool", "lane", "inline"]
+        assert Session()._failover_chain(1) == ["remote", "lane", "inline"]
+        assert Session(EngineConfig(fallback="error"))._failover_chain(4) \
+            == ["remote"]
 
     def test_auto_fallback_error_without_daemon_raises(self, tmp_path,
                                                        monkeypatch):
@@ -236,12 +250,18 @@ class TestWarmGuard:
 
 
 class TestDaemonUnavailable:
+    """The remote engine's queue transport (no address configured)."""
+
+    @pytest.fixture(autouse=True)
+    def _no_address_in_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SERVE_ADDR", raising=False)
+
     def test_daemon_engine_refuses_a_dead_queue_without_enqueueing(
             self, tmp_path):
-        from repro.api import DaemonEngine
+        from repro.api import RemoteEngine
         from repro.errors import ServiceError
 
-        engine = DaemonEngine(EngineConfig(service_root=tmp_path / "q"))
+        engine = RemoteEngine(EngineConfig(service_root=tmp_path / "q"))
         with pytest.raises(ServiceError):
             engine.fit([FitRequest.create(TANH, 4, config=_TINY)])
         # No orphan jobs for the next daemon to replay.
@@ -267,9 +287,9 @@ class TestDaemonUnavailable:
             cache.put(requests[0].key, seeded.to_entry())
             raise ServiceError("daemon died mid-wait")
 
-        monkeypatch.setattr(engines_mod.DaemonEngine, "fit",
+        monkeypatch.setattr(engines_mod.RemoteEngine, "fit",
                             die_after_partial_persist)
-        cfg = EngineConfig(engine="daemon", service_root=tmp_path / "q",
+        cfg = EngineConfig(engine="remote", service_root=tmp_path / "q",
                            warm_start=False)
         with Session(cfg, cache=cache) as s:
             arts = s.fit([FitRequest.create(TANH, 4, config=_TINY),

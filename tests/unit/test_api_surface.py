@@ -11,24 +11,22 @@ import repro.api as api
 #: (update this snapshot in the same PR); removals are breaking.
 EXPECTED_ALL = [
     "ARTIFACT_SCHEMA_VERSION",
-    "DaemonEngine",
     "ENGINE_AUTO",
-    "ENGINE_DAEMON",
-    "ENGINE_HTTP",
     "ENGINE_INLINE",
     "ENGINE_LANE",
     "ENGINE_NAMES",
     "ENGINE_POOL",
+    "ENGINE_REMOTE",
     "Engine",
     "EngineConfig",
     "FALLBACK_ERROR",
     "FALLBACK_LOCAL",
     "FitArtifact",
     "FitRequest",
-    "HttpEngine",
     "InlineEngine",
     "LaneEngine",
     "PoolEngine",
+    "RemoteEngine",
     "Session",
     "aggregate_provenance",
     "create_engine",

@@ -135,6 +135,10 @@ class TestServeInferCommand:
 
 
 class TestServeCommand:
+    @pytest.fixture(autouse=True)
+    def _no_address_in_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SERVE_ADDR", raising=False)
+
     def test_serve_once_on_empty_queue(self, capsys, tmp_path):
         assert main(["serve", "--once", "--dir", str(tmp_path / "q"),
                      "--cache-dir", str(tmp_path / "fits"),
@@ -154,6 +158,36 @@ class TestServeCommand:
                      "--cache-dir", str(tmp_path / "fits"),
                      "--workers", "1"]) == 0
         assert "exiting after 1 jobs" in capsys.readouterr().out
+
+    def test_addr_adds_a_listener_and_prints_it(self, capsys, tmp_path):
+        assert main(["serve", "--addr", "127.0.0.1:0", "--idle-exit", "0.2",
+                     "--dir", str(tmp_path / "q"),
+                     "--cache-dir", str(tmp_path / "fits"),
+                     "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        addr = out.split("http://", 1)[1].split()[0]
+        assert addr.startswith("127.0.0.1:") and not addr.endswith(":0")
+        assert "exiting after 0 jobs" in out
+
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    def test_once_with_a_listener_is_refused(self, where, capsys, tmp_path,
+                                             monkeypatch):
+        argv = ["serve", "--once", "--dir", str(tmp_path / "q")]
+        if where == "flag":
+            argv += ["--addr", "127.0.0.1:0"]
+        else:
+            monkeypatch.setenv("REPRO_SERVE_ADDR", "127.0.0.1:0")
+        assert main(argv) == 2
+        assert "--once" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()  # refused before serving
+
+    def test_one_fit_daemon_command(self):
+        import argparse
+
+        [commands] = [a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(c for c in commands.choices
+                      if c.startswith("serve")) == ["serve", "serve-infer"]
 
 
 class TestCacheCommand:

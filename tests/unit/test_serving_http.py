@@ -1,9 +1,9 @@
-"""The ``serve-http`` fit server: endpoints, backpressure, isolation.
+"""The fit daemon's HTTP listener: endpoints, backpressure, isolation.
 
-One embedded :class:`FitHttpServer` (HTTP-only, ``drain_queue=False``)
-serves the whole module; every test talks to it through the real
-:class:`ServingClient`, so request framing, error mapping and metrics
-are exercised end to end in-process.
+One in-process daemon (the ``fit_daemon`` helper: a :class:`FitService`
+with ``addr`` set, serving on a thread) serves the whole module; every
+test talks to it through the real :class:`ServingClient`, so request
+framing, error mapping and metrics are exercised end to end in-process.
 """
 
 import http.client
@@ -17,7 +17,7 @@ from repro.api import FitRequest
 from repro.core.batchfit import FitCache
 from repro.core.fit import FitConfig
 from repro.serving.client import ServerError, ServingClient
-from repro.serving.fit_server import FitHttpApp, FitHttpServer
+from repro.serving.fit_server import FitHttpApp
 from repro.serving.http import ServerThread, ServingApp, ServingHTTPServer
 from repro.serving.protocol import (MAX_BODY_BYTES, PROTOCOL_VERSION,
                                     ROUTE_FIT)
@@ -32,19 +32,17 @@ def _job_doc(name="tanh", n=4):
 
 
 @pytest.fixture(scope="module")
-def server(tmp_path_factory):
+def server(tmp_path_factory, fit_daemon):
     root = tmp_path_factory.mktemp("serving-http")
-    with FitHttpServer(
-            ServiceConfig(root=root / "queue", warm_start=False,
-                          max_workers=2),
-            port=0, drain_queue=False,
-            cache=FitCache(root / "cache")) as srv:
-        yield srv
+    with fit_daemon(ServiceConfig(root=root / "queue", warm_start=False,
+                                  max_workers=2, addr="127.0.0.1:0"),
+                    cache=FitCache(root / "cache")) as svc:
+        yield svc
 
 
 @pytest.fixture()
 def client(server):
-    with ServingClient(server.addr) as c:
+    with ServingClient(server.serve_addr) as c:
         yield c
 
 
@@ -63,11 +61,11 @@ class TestPlumbingEndpoints:
         assert doc["version"] == __version__
         assert doc["schemas"] == {"artifact": ARTIFACT_SCHEMA_VERSION,
                                   "cache": CACHE_SCHEMA_VERSION}
-        assert doc["cache_dir"] == str(server.service.session.cache.directory)
-        assert doc["capabilities"]["max_pending"] == server.app.max_pending
+        assert doc["cache_dir"] == str(server.session.cache.directory)
+        assert doc["capabilities"]["max_pending"] == server.config.max_pending
 
     def test_alive_probe(self, server):
-        assert ServingClient(server.addr).alive()
+        assert ServingClient(server.serve_addr).alive()
         # Nothing listens on the port the OS just handed back to us.
         dead = ServingClient(("127.0.0.1", 1))
         assert not dead.alive(timeout_s=0.2)
@@ -126,18 +124,17 @@ class TestFitEndpoint:
         assert results[1]["entry"]["function"] == "sigmoid"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_fit_that_raises_fails_alone(self, tmp_path):
+    def test_fit_that_raises_fails_alone(self, tmp_path, fit_daemon):
         # exp over (0, 800) overflows the loss grid, so its fit raises
         # inside the batch; the tanh batchmate (fitted, not cached: a
         # fresh server) must still come back.
         good = _job_doc("tanh", 4)
         bad = FitRequest.create("exp", 4, interval=(0.0, 800.0),
                                 config=_TINY).to_dict()
-        with FitHttpServer(ServiceConfig(root=tmp_path / "queue",
-                                         max_workers=1),
-                           port=0, drain_queue=False,
-                           cache=FitCache(tmp_path / "cache")) as srv:
-            host, port = srv.addr.rsplit(":", 1)
+        with fit_daemon(ServiceConfig(root=tmp_path / "queue",
+                                      max_workers=1, addr="127.0.0.1:0"),
+                        cache=FitCache(tmp_path / "cache")) as svc:
+            host, port = svc.serve_addr.rsplit(":", 1)
             conn = http.client.HTTPConnection(host, int(port), timeout=60)
             try:
                 conn.request("POST", ROUTE_FIT, body=json.dumps(
@@ -178,6 +175,14 @@ class TestBackpressure:
             service.stop()
             service.close()
 
+    def test_zero_slots_are_refused(self, tmp_path):
+        from repro.errors import ServiceError
+
+        with FitService(ServiceConfig(root=tmp_path / "q"),
+                        cache=FitCache(tmp_path / "c")) as service:
+            with pytest.raises(ServiceError, match="max_pending"):
+                FitHttpApp(service, max_pending=0)
+
     def test_concurrent_requests_all_complete(self, server):
         # More client threads than admission slots: everyone must get a
         # real answer (429s are retried by the client's RetryPolicy).
@@ -185,7 +190,7 @@ class TestBackpressure:
 
         def one(i):
             try:
-                with ServingClient(server.addr) as c:
+                with ServingClient(server.serve_addr) as c:
                     results.append(c.fit([_job_doc("silu", 4)])[0])
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
