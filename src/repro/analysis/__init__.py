@@ -16,8 +16,9 @@ verifier and reporting load on first attribute access.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
+from .. import _lazy_exports
 from .diagnostics import (
     CODES,
     CodeInfo,
@@ -66,18 +67,4 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str) -> Any:
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-def __dir__() -> "list[str]":
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = _lazy_exports(__name__, _LAZY)

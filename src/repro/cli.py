@@ -53,12 +53,7 @@ import time
 from typing import List, Optional
 
 from .api import ENGINE_NAMES, EngineConfig, FitRequest, Session
-from .core import build_tables, evaluate
-from .core.analysis import assess_fit, optimal_mse_bound
-from .eval import fmt_ratio, fmt_sci, format_table
-from .eval.plots import breakpoint_strip, hbar_chart, log_line_chart
 from .functions import registry as fn_registry
-from .hw.dtypes import HwDataType, fixed_for_range
 
 
 def _session_from_args(args: argparse.Namespace) -> Session:
@@ -81,6 +76,11 @@ def _session_from_args(args: argparse.Namespace) -> Session:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .core.analysis import assess_fit
+    from .core.metrics import evaluate
+    from .eval import fmt_sci
+    from .eval.plots import breakpoint_strip
+
     fn = fn_registry.get(args.function)
     interval = (args.lo, args.hi) if args.lo is not None else None
     artifact = _session_from_args(args).fit_one(
@@ -114,7 +114,8 @@ def _csv_ints(text: str) -> List[int]:
 
 
 def _cmd_fit_all(args: argparse.Namespace) -> int:
-    from .core import FitConfig
+    from .core.fit import FitConfig
+    from .eval import fmt_sci, format_table
 
     names = (args.functions.split(",") if args.functions
              else list(fn_registry.available()))
@@ -264,6 +265,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     cache = FitCache(args.cache_dir) if args.cache_dir else FitCache()
     if args.action == "report":
         from .api import aggregate_provenance
+        from .eval import format_table
 
         report = aggregate_provenance(cache)
         if args.json:
@@ -400,6 +402,9 @@ def _cmd_queue(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .core.tables import build_tables
+    from .hw.dtypes import HwDataType, fixed_for_range
+
     fn = fn_registry.get(args.function)
     with Session() as session:
         result = session.fit_one(fn, n_breakpoints=args.breakpoints)
@@ -426,6 +431,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_fig(args: argparse.Namespace) -> int:
     from .eval import experiments as exp
+    from .eval import fmt_ratio, fmt_sci, format_table
+    from .eval.plots import log_line_chart
 
     name = args.name.lower()
     if name in ("fig2", "2"):
@@ -657,6 +664,7 @@ def _profile_one(args: argparse.Namespace, model: str):
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from .eval import format_table
     from .zoo.builders import BUILDERS
 
     models = sorted(BUILDERS) if args.all_zoo else list(args.models)
@@ -735,6 +743,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import os
 
+    from .eval import format_table
     from .obs import ENV_TRACE, read_trace
 
     path = args.file or os.environ.get(ENV_TRACE)
@@ -853,6 +862,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_zoo(args: argparse.Namespace) -> int:
+    from .eval.plots import hbar_chart
     from .perf import evaluate_zoo
     from .zoo import build_catalog
 
@@ -869,6 +879,9 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from .core.analysis import optimal_mse_bound
+    from .eval import fmt_sci, format_table
+
     fn = fn_registry.get(args.function)
     rows = []
     for n in (4, 8, 16, 32, 64, 128):

@@ -28,7 +28,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from random import Random
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -154,6 +153,9 @@ class FaultInjector:
         if rule.kind == KIND_OSERROR:
             raise InjectedOSError(msg)
         if rule.kind == KIND_BROKEN_POOL:
+            # Imported here: the module pulls in multiprocessing, which
+            # a process that never opens a pool should not pay for.
+            from concurrent.futures.process import BrokenProcessPool
             raise BrokenProcessPool(msg)
         if rule.kind == KIND_CRASH:
             raise InjectedCrash(msg)

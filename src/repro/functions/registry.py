@@ -74,6 +74,41 @@ def make_custom(name: str, fn: Callable[[np.ndarray], np.ndarray],
     return register(act, overwrite=True)
 
 
+#: Softmax's Flex-SFU-accelerated part is the exponentiation; the
+#: max-subtract / sum / divide stay as vector ops (counted separately).
+_SOFTMAX_EXP_OPS = 8
+
+#: Target-VPU overrides: clip-based functions map onto fused min/max
+#: vector instructions on the modelled accelerator, so they cost far
+#: fewer issue slots than their generic arithmetic expansion.  This is
+#: what keeps MobileNets near the bottom of Fig. 6 despite Hardswish
+#: being "complex" in the accuracy analysis.
+_VPU_NATIVE_OPS = {
+    "relu": 1,
+    "leaky_relu": 1,
+    "relu6": 1,
+    "hardtanh": 1,
+    "hardsigmoid": 2,
+    "hardswish": 2,
+    "identity": 0,
+}
+
+
+def baseline_act_ops(fn_name: str) -> int:
+    """Per-element operation count of ``fn_name`` on the baseline VPU.
+
+    The Fig. 6 cost model (:mod:`repro.perf.costs`) prices activations
+    with it, and the verifier's RPR124 asks it whether a compiled
+    activation can be priced, so it lives here rather than in the
+    cost model: checking a graph does not load the catalog.
+    """
+    if fn_name == "softmax":
+        return _SOFTMAX_EXP_OPS
+    if fn_name in _VPU_NATIVE_OPS:
+        return _VPU_NATIVE_OPS[fn_name]
+    return get(fn_name).vpu_ops
+
+
 for _fn in ANALYTIC_FUNCTIONS + PIECEWISE_FUNCTIONS:
     register(_fn)
 

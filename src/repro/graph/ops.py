@@ -550,10 +550,38 @@ def _shape_identity(in_shapes: List[Shape], attrs: Dict[str, Any]) -> List[Shape
     return [in_shapes[0]]
 
 
-register_shape("batchnorm")(_shape_identity)
-register_shape("layernorm")(_shape_identity)
 register_shape("activation")(_shape_identity)
-register_shape("softmax")(_shape_identity)
+
+
+def _check_axis(op: str, shape: Shape, axis: int) -> None:
+    if not -len(shape) <= axis < len(shape):
+        raise GraphError(f"{op} axis {axis} is out of range for shape {shape}")
+
+
+@register_shape("softmax")
+def _shape_softmax(in_shapes: List[Shape], attrs: Dict[str, Any]) -> List[Shape]:
+    _check_axis("softmax", in_shapes[0], int(attrs.get("axis", -1)))
+    return [in_shapes[0]]
+
+
+def _shape_norm(op: str, axis: int, params: Tuple[str, str]
+                ) -> Callable[[List[Shape], Dict[str, Any]], List[Shape]]:
+    """The shape rule of a norm whose two parameters hold one value
+    per index of its input's ``axis``: with any other length the
+    kernel raises, or with a length of one silently broadcasts."""
+    def rule(in_shapes: List[Shape], attrs: Dict[str, Any]) -> List[Shape]:
+        x = in_shapes[0]
+        _check_axis(op, x, axis)
+        for name, shape in zip(params, in_shapes[1:]):
+            if tuple(shape) != (x[axis],):
+                raise GraphError(f"{op} {name} shape {tuple(shape)} is not "
+                                 f"({x[axis]},)")
+        return [x]
+    return rule
+
+
+register_shape("batchnorm")(_shape_norm("batchnorm", 1, ("scale", "shift")))
+register_shape("layernorm")(_shape_norm("layernorm", -1, ("gamma", "beta")))
 
 
 def _shape_broadcast_pair(in_shapes: List[Shape],
@@ -585,6 +613,9 @@ register_shape("avgpool2d")(_shape_pool2d)
 
 @register_shape("global_avgpool")
 def _shape_gap(in_shapes: List[Shape], attrs: Dict[str, Any]) -> List[Shape]:
+    if len(in_shapes[0]) != 4:
+        raise GraphError(f"global_avgpool needs an (N, C, H, W) input, got "
+                         f"{in_shapes[0]}")
     return [in_shapes[0][:2]]
 
 

@@ -10,38 +10,9 @@ evaluation) plus the per-function table-load overhead.
 
 from __future__ import annotations
 
-from ..functions import registry as fn_registry
+from ..functions.registry import baseline_act_ops
 from ..zoo.catalog import ModelRecord
 from .accelerator import AcceleratorConfig, CycleBreakdown
-
-#: Softmax's Flex-SFU-accelerated part is the exponentiation; the
-#: max-subtract / sum / divide stay as vector ops (counted separately).
-_SOFTMAX_EXP_OPS = 8
-
-#: Target-VPU overrides: clip-based functions map onto fused min/max
-#: vector instructions on the modelled accelerator, so they cost far
-#: fewer issue slots than their generic arithmetic expansion.  This is
-#: what keeps MobileNets near the bottom of Fig. 6 despite Hardswish
-#: being "complex" in the accuracy analysis.
-_VPU_NATIVE_OPS = {
-    "relu": 1,
-    "leaky_relu": 1,
-    "relu6": 1,
-    "hardtanh": 1,
-    "hardsigmoid": 2,
-    "hardswish": 2,
-    "identity": 0,
-}
-
-
-def baseline_act_ops(fn_name: str) -> int:
-    """Per-element operation count of ``fn_name`` on the baseline VPU."""
-    if fn_name == "softmax":
-        return _SOFTMAX_EXP_OPS
-    if fn_name in _VPU_NATIVE_OPS:
-        return _VPU_NATIVE_OPS[fn_name]
-    return fn_registry.get(fn_name).vpu_ops
-
 
 #: Flex-SFU evaluates any activation in one MADD per element.
 FLEXSFU_ACT_OPS = 1

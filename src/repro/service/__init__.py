@@ -17,12 +17,38 @@ fitted.  This subsystem centralises that:
 * :mod:`~repro.service.spec` — :class:`FunctionSpec`, the serialisable
   function description that lets unregistered (``make_custom``-built)
   activations travel to worker processes and be cache-keyed by content.
+
+Each public name loads its submodule on first access (see
+:mod:`repro`): the engines import :mod:`~repro.service.retry` alone,
+so a process that never touches the queue loads neither it nor the
+daemon.
 """
 
-from .client import submit, wait
-from .daemon import FitService, ServiceConfig
-from .queue import JobQueue, default_service_dir
-from .spec import FunctionSpec, as_spec
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .. import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .client import submit, wait
+    from .daemon import FitService, ServiceConfig
+    from .queue import JobQueue, default_service_dir
+    from .spec import FunctionSpec, as_spec
+
+#: Public name -> defining submodule.
+_LAZY = {
+    "submit": "client",
+    "wait": "client",
+    "FitService": "daemon",
+    "ServiceConfig": "daemon",
+    "JobQueue": "queue",
+    "default_service_dir": "queue",
+    "FunctionSpec": "spec",
+    "as_spec": "spec",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "FitService",

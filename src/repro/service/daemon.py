@@ -114,8 +114,10 @@ class FitService:
                          warm_start=self.config.warm_start,
                          warm_quality_factor=None),
             cache=cache if cache is not None else default_cache())
+        # Jobs answered on either path; see count_jobs.
         self.processed = 0
         self.failed = 0
+        self._count_lock = threading.Lock()
         # The queue loop and the HTTP fit endpoint share one Session;
         # the lock serializes its fits across the two threads.
         self.fit_lock = threading.RLock()
@@ -170,6 +172,15 @@ class FitService:
                 out.append(exc)
         return out
 
+    def count_jobs(self, processed: int = 0, failed: int = 0) -> None:
+        """Add to :attr:`processed` and :attr:`failed`, the counts the
+        heartbeat, the listener's capabilities and ``repro serve``'s
+        exit line report.  The queue loop and the HTTP handler threads
+        both count, so the two add under one lock."""
+        with self._count_lock:
+            self.processed += processed
+            self.failed += failed
+
     def _fit(self, jobs: Sequence[FitJob]) -> List[FitArtifact]:
         """One ``Session.fit`` under the lock; stamps the last activity."""
         with self.fit_lock:
@@ -187,25 +198,30 @@ class FitService:
         # treat a stale heartbeat as a dead daemon and fail over.
         self._write_heartbeat()
         with get_tracer().span("service.batch", claimed=len(claimed)) as sp:
-            before_failed = self.failed
-            jobs: Dict[str, FitJob] = {}
-            for key, payload in claimed:
-                try:
-                    jobs[key] = job_from_dict(payload["job"])
-                except Exception as exc:
-                    self.queue.fail(key, f"undecodable job: {exc}")
-                    self.failed += 1
-            if jobs:
-                for key, got in zip(jobs, self.fit_jobs(list(jobs.values()))):
-                    if isinstance(got, Exception):
-                        self.queue.fail(key, str(got), exc=got)
-                        self.failed += 1
-                    else:
-                        self._publish(key, got)
-            new_failed = self.failed - before_failed
-            sp.set(failed=new_failed)
-            if new_failed:
-                get_metrics().counter("service.jobs.failed").inc(new_failed)
+            failed = 0
+            try:
+                jobs: Dict[str, FitJob] = {}
+                for key, payload in claimed:
+                    try:
+                        jobs[key] = job_from_dict(payload["job"])
+                    except Exception as exc:
+                        self.queue.fail(key, f"undecodable job: {exc}")
+                        failed += 1
+                if jobs:
+                    for key, got in zip(jobs,
+                                        self.fit_jobs(list(jobs.values()))):
+                        if isinstance(got, Exception):
+                            self.queue.fail(key, str(got), exc=got)
+                            failed += 1
+                        else:
+                            self._publish(key, got)
+            finally:
+                # Failures already published count even when a later
+                # queue write raises out of the batch.
+                self.count_jobs(failed=failed)
+            sp.set(failed=failed)
+            if failed:
+                get_metrics().counter("service.jobs.failed").inc(failed)
         return len(claimed)
 
     def _publish(self, key: str, art: FitArtifact) -> None:
@@ -221,7 +237,7 @@ class FitService:
             # requeue_stale — the refit is a cache hit, so the retry
             # costs one marker write, not a fit.
             return
-        self.processed += 1
+        self.count_jobs(processed=1)
         get_metrics().counter(
             "service.jobs.done",
             from_cache="yes" if art.from_cache else "no").inc()

@@ -23,7 +23,10 @@ Request flow for ``POST /v1/fit``:
 5. per-job result documents ``{"key", "entry", "from_cache",
    "wall_time_s"}`` — byte-compatible with the queue's ``done/``
    payloads, so :class:`~repro.api.engines.RemoteEngine` decodes both
-   transports through the same ``CachedFit`` schema.
+   transports through the same ``CachedFit`` schema;
+6. each job answered with an artifact counts as processed and each
+   undecodable or failed one as failed (:meth:`FitService.count_jobs`),
+   as on the queue path.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ class FitHttpApp(ServingApp):
             with get_tracer().span("fit.http", n_jobs=len(reqs)) as sp:
                 results = self._fit_jobs(reqs)
                 failed = sum(1 for r in results if "error" in r)
+                self.service.count_jobs(processed=len(results) - failed,
+                                        failed=failed)
                 sp.set(failed=failed)
         finally:
             self._slots.release()

@@ -31,6 +31,7 @@ latency histograms exposed at ``/metrics``.
 
 from __future__ import annotations
 
+import functools
 import os
 import queue as queue_mod
 import threading
@@ -60,6 +61,41 @@ DEFAULT_REQUEST_TIMEOUT_S = 60.0
 #: Widest accepted window: a wider one would time out every request it
 #: holds (and past ``threading.TIMEOUT_MAX`` kill the batcher thread).
 MAX_BATCH_MS = 1000.0 * DEFAULT_REQUEST_TIMEOUT_S
+
+
+#: glibc ``mallopt`` parameters (``malloc.h``) and the values the server
+#: pins them to: 32 MiB is the ceiling of glibc's own dynamic mmap
+#: threshold on 64-bit hosts, and 64 MiB the 2x trim threshold that
+#: rule pairs with it.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def _pin_heap() -> None:
+    """Keep a served Program's temporaries on the heap, untrimmed.
+
+    A served ViT's largest temporaries are 128 KiB per sample, exactly
+    glibc's default mmap threshold, so each is mmapped and unmapped
+    again, and the heap top freed after a request is trimmed back to
+    the kernel: the next request page-faults it in anew.  glibc raises
+    both thresholds only when it frees a larger mmapped block, so
+    whether a server faulted depended on which libraries its process
+    happened to load.  Pinning them makes every request reuse the pages
+    of the last.  Process-wide and idempotent (runs once); a no-op
+    where the C library has no ``mallopt``.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def resolve_batch_ms(batch_ms: Optional[float] = None) -> float:
@@ -326,10 +362,20 @@ class InferServer:
         return self.server.bound_addr
 
     def start(self) -> str:
+        """Serve on a background thread; returns the bound address.
+
+        Pins the process's allocator first (:func:`_pin_heap`), so a
+        request reuses the heap pages of the last one instead of
+        faulting in fresh ones.
+        """
+        _pin_heap()
         self._runner = ServerThread(self.server)
         return self._runner.start()
 
     def serve_forever(self) -> None:
+        """Serve on this thread (``repro serve-infer``); pins the
+        allocator as :meth:`start` does."""
+        _pin_heap()
         self.server.serve_forever(poll_interval=0.1)
 
     def close(self) -> None:

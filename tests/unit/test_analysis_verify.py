@@ -58,14 +58,34 @@ def one_layer(kind, c_out=4, **kw):
     return g.graph
 
 
+def one_op(kind, shape):
+    """x of ``shape`` -> one GraphBuilder ``kind`` node; a batchnorm or
+    layernorm gets parameters sized to fit its input."""
+    g = GraphBuilder(f"toy_{kind}", seed=0)
+    x = g.input("x", shape)
+    if kind == "batchnorm":
+        y = g.batchnorm(x, shape[1])
+    elif kind == "layernorm":
+        y = g.layernorm(x, shape[-1])
+    else:
+        y = getattr(g, kind)(x)
+    g.output(y)
+    return g.graph
+
+
 def with_attrs(graph, **attrs):
     graph.nodes[0].attrs.update(attrs)
     return graph
 
 
-def with_bias(graph, length):
-    graph.initializers[graph.nodes[0].inputs[2]] = np.zeros(length)
+def with_param(graph, index, length):
+    """Give the first node's input ``index`` an initializer of ``length``."""
+    graph.initializers[graph.nodes[0].inputs[index]] = np.zeros(length)
     return graph
+
+
+def with_bias(graph, length):
+    return with_param(graph, 2, length)
 
 
 #: Layers whose shapes pass a naive rule but whose kernels raise or
@@ -90,6 +110,21 @@ UNRUNNABLE_LAYERS = {
                                                   kernel=-1),
     "avgpool-kernel-negative": lambda: with_attrs(one_layer("avgpool2d"),
                                                   kernel=-1),
+    "softmax-axis-past-rank": lambda: with_attrs(one_op("softmax", (0, 4)),
+                                                 axis=3),
+    "softmax-axis-below-minus-rank": lambda: with_attrs(
+        one_op("softmax", (0, 4)), axis=-3),
+    "global_avgpool-on-2-d": lambda: one_op("global_avgpool", (0, 4)),
+    "batchnorm-3-scales-for-4-channels": lambda: with_param(
+        one_op("batchnorm", (0, 4, 8, 8)), 1, 3),
+    "batchnorm-scale-of-one": lambda: with_param(
+        one_op("batchnorm", (0, 4, 8, 8)), 1, 1),
+    "batchnorm-shift-of-one": lambda: with_param(
+        one_op("batchnorm", (0, 4, 8, 8)), 2, 1),
+    "layernorm-gamma-of-one": lambda: with_param(
+        one_op("layernorm", (0, 4)), 1, 1),
+    "layernorm-beta-longer-than-dim": lambda: with_param(
+        one_op("layernorm", (0, 4)), 2, 5),
 }
 
 

@@ -10,6 +10,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -149,6 +150,29 @@ class TestFitEndpoint:
         tanh, exp = doc["results"]
         assert "error" not in tanh and tanh["entry"]["function"] == "tanh"
         assert "entry" not in exp and "fit jobs failed" in exp["error"]
+
+    def test_http_jobs_are_counted_like_queue_jobs(self, tmp_path,
+                                                   fit_daemon):
+        # Two fitted jobs and one undecodable: the attribute, GET
+        # /version's capabilities and the next heartbeat all count them.
+        with fit_daemon(ServiceConfig(root=tmp_path / "queue",
+                                      max_workers=1, addr="127.0.0.1:0"),
+                        cache=FitCache(tmp_path / "cache")) as svc:
+            with ServingClient(svc.serve_addr) as client:
+                results = client.fit([_job_doc("tanh", 4),
+                                      {"function": "tanh"},
+                                      _job_doc("sigmoid", 4)])
+                assert ["error" in r for r in results] == \
+                    [False, True, False]
+                assert (svc.processed, svc.failed) == (2, 1)
+                caps = client.version()["capabilities"]
+                assert (caps["processed"], caps["failed"]) == (2, 1)
+            deadline = time.monotonic() + 10.0
+            while (svc.queue.heartbeat() or {}).get("processed") != 2:
+                assert time.monotonic() < deadline, \
+                    "no heartbeat counted the HTTP fits"
+                time.sleep(0.05)
+            assert svc.queue.heartbeat()["failed"] == 1
 
 
 class TestBackpressure:
