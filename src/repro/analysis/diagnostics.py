@@ -146,6 +146,9 @@ _code("RPR206", Severity.ERROR, "no static profile",
       "warnings for the root cause")
 _code("RPR207", Severity.ERROR, "invalid batch size",
       "batch_size must be a positive integer")
+_code("RPR208", Severity.ERROR, "token id outside the table",
+      "an input an embedding reads as token ids must hold integers in "
+      "[0, rows) of its table")
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ the single place all of them resolve through:
   one deterministically — see :meth:`Session.resolve_engine_name
   <repro.api.session.Session>`), subsuming the old flag scatter;
 * :meth:`EngineConfig.resolve_http_addr` picks the remote engine's
-  transport: HTTP to the daemon's listener when an address resolves,
-  its file queue at ``service_root`` otherwise.
+  transport: HTTP to the daemon's listener when an address resolves
+  (an explicit ``http_addr``, or ``REPRO_SERVE_ADDR`` unless
+  ``service_root`` names a queue), its file queue otherwise.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ class EngineConfig:
     fallback: str = FALLBACK_LOCAL
     #: Queue directory the remote engine submits to when no address
     #: resolves (``None``: the default service dir under
-    #: ``$REPRO_CACHE_DIR``).
+    #: ``$REPRO_CACHE_DIR``).  Setting it selects the queue over an
+    #: address from ``REPRO_SERVE_ADDR``; an explicit ``http_addr``
+    #: still wins.
     service_root: Optional[Path] = None
     #: Remote engine: the bound on one batch, on either transport (the
     #: queue wait, or one HTTP round trip), and the queue poll cadence.
@@ -89,9 +92,9 @@ class EngineConfig:
     retry_max_attempts: int = 3
     retry_base_delay_s: float = 0.05
     #: Remote engine: ``host:port`` of a ``repro serve --addr`` daemon.
-    #: ``None`` defers to ``REPRO_SERVE_ADDR`` (see
-    #: :meth:`resolve_http_addr`); with neither set, the remote engine
-    #: reaches the daemon through its file queue at ``service_root``.
+    #: ``None`` defers to ``REPRO_SERVE_ADDR``, unless ``service_root``
+    #: is set (see :meth:`resolve_http_addr`); with no address, the
+    #: remote engine reaches the daemon through its file queue.
     http_addr: Optional[str] = None
     #: Per-engine circuit breaker (``auto`` failover chain): the
     #: breaker opens after ``breaker_threshold`` consecutive
@@ -124,11 +127,15 @@ class EngineConfig:
         """The serving address, by fixed precedence.
 
         1. an explicit ``http_addr`` on this config;
-        2. the ``REPRO_SERVE_ADDR`` environment variable;
-        3. ``None`` — the remote engine uses the file queue.
+        2. ``None`` when ``service_root`` is set: a caller who named a
+           queue gets that queue, whatever the environment says;
+        3. the ``REPRO_SERVE_ADDR`` environment variable;
+        4. ``None`` — the remote engine uses the file queue.
         """
         if self.http_addr:
             return self.http_addr
+        if self.service_root is not None:
+            return None
         env = os.environ.get(ENV_SERVE_ADDR)
         return env if env else None
 

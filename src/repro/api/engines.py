@@ -299,9 +299,10 @@ class RemoteEngine:
 
     The transport resolves on every call: HTTP to the daemon's listener
     when :meth:`EngineConfig.resolve_http_addr` gives an address
-    (explicit ``http_addr`` > ``REPRO_SERVE_ADDR``), else the daemon's
-    file queue at ``service_root``.  The daemon owns the shared cache
-    and its warm-seed lookup, so client-side warm seeds are ignored.
+    (explicit ``http_addr`` > an explicit ``service_root``'s queue >
+    ``REPRO_SERVE_ADDR``), else the daemon's file queue.  The daemon
+    owns the shared cache and its warm-seed lookup, so client-side warm
+    seeds are ignored.
 
     Failure contract, on either transport: a job the daemon failed comes
     back as a ``None`` slot with its reason in :attr:`last_errors`; an

@@ -37,7 +37,8 @@ Environment
 ``REPRO_SERVE_ADDR``  ``host:port`` of the fit daemon's HTTP listener —
                       the bind address of ``serve`` when ``--addr`` is
                       not given, and the address the ``remote`` engine
-                      (and ``engine=auto``) talks to client-side;
+                      (and ``engine=auto``) talks to client-side unless
+                      its config names a ``service_root`` queue;
 ``REPRO_INFER_ADDR``  ``host:port`` of a ``serve-infer`` daemon;
 ``REPRO_INFER_BATCH_MS``  extra wait of ``serve-infer``'s batcher for
                       stragglers, in milliseconds (default 0: take
@@ -609,7 +610,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
                      model=name)
                 for name, graph, diags in reports]
         ok = all(doc["ok"] for doc in docs)
-        print(json.dumps({"ok": ok, "models": docs}, indent=2))
+        # What was checked, so reports of different rewrites differ.
+        checked = {"act": args.act, "scale": args.scale, "seed": args.seed,
+                   "batch": args.batch, "pwl": args.pwl}
+        print(json.dumps({"ok": ok, "args": checked, "models": docs},
+                         indent=2))
     else:
         ok = True
         for name, graph, diags in reports:
@@ -618,29 +623,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _profile_feeds(graph, batch: int, seed: int):
+def _profile_feeds(program, batch: int, seed: int):
     """Deterministic feed arrays for every free graph input.
 
-    Inputs consumed by an ``embedding`` node are token ids: they get
-    integers drawn below the embedding table's vocabulary size, not
-    gaussian floats (which would index out of the table).
+    Inputs an ``embedding`` reads as token ids get integers drawn below
+    the row count the program admits for them, not gaussian floats
+    (which would index out of the table).
     """
     import numpy as np
 
-    vocab_for = {}
-    for node in graph.nodes:
-        if node.op_type == "embedding" and len(node.inputs) > 1:
-            table = graph.initializers.get(node.inputs[1])
-            if table is not None:
-                vocab_for[node.inputs[0]] = int(table.shape[0])
+    graph, vocab = program.graph, program._vocab
     rng = np.random.default_rng(seed)
     feeds = {}
     for name, shape in graph.inputs:
         if name in graph.initializers:
             continue
         dims = tuple(batch if d == 0 else int(d) for d in shape)
-        if name in vocab_for:
-            feeds[name] = rng.integers(0, vocab_for[name], size=dims)
+        if name in vocab:
+            feeds[name] = rng.integers(0, vocab[name], size=dims)
         else:
             feeds[name] = rng.standard_normal(dims)
     return feeds
@@ -656,7 +656,7 @@ def _profile_one(args: argparse.Namespace, model: str):
     program = session.compile(graph, batch_size=args.batch,
                               n_breakpoints=args.pwl,
                               passes=[] if args.no_opt else None)
-    feeds = _profile_feeds(graph, args.batch, args.seed)
+    feeds = _profile_feeds(program, args.batch, args.seed)
     _, runtime = program.run_timed(feeds, repeats=args.repeats)
     comparison = (compare_profiles(program.profile, runtime)
                   if args.compare_static else None)

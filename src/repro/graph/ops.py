@@ -2,8 +2,13 @@
 
 Every operator provides two things:
 
-* ``execute(inputs, attrs)`` — exact numpy semantics (float64), used by
-  the executor for the accuracy experiments;
+* ``execute(inputs, attrs)`` — exact numpy semantics (float64), and
+  the op's only definition: every path runs it — ``interpret()``, each
+  compiled record (with its initializers prebound), each step of a
+  fused record, and constant folding.  The one exception is the PWL
+  table, which compilation bakes into ``PwlKernel`` /
+  ``SoftmaxPwlKernel``, bitwise-equal to the approximator ``execute``
+  calls;
 * ``cost(input_shapes, output_shapes, attrs)`` — a :class:`CostRecord`
   with the MAC count (tensor-core work), generic vector-op count (VPU
   work) and activation element count (the part Flex-SFU accelerates),
@@ -425,8 +430,8 @@ def _exec_fused(inputs: List[np.ndarray], attrs: Dict[str, Any]) -> List[np.ndar
     The fused record is pure plumbing: each step calls the identical
     numpy semantics the standalone node would have, so outputs are
     bitwise-unchanged by fusion (the baked
-    :class:`~repro.graph.program.FusedKernel` honours the same
-    contract with prebound constants).
+    :class:`~repro.graph.program.FusedKernel` runs the same
+    ``execute`` per step, with its constants prebound).
     """
     pos = 0
     cur: Optional[np.ndarray] = None
@@ -621,19 +626,19 @@ def _shape_gap(in_shapes: List[Shape], attrs: Dict[str, Any]) -> List[Shape]:
 
 @register_shape("reshape")
 def _shape_reshape(in_shapes: List[Shape], attrs: Dict[str, Any]) -> List[Shape]:
+    """A reshape keeps the batch dim free: the target is ``(-1, ...)``
+    with positive trailing dims holding one sample's elements, so any
+    stacked batch reshapes sample by sample."""
     src = in_shapes[0]
     target = tuple(int(d) for d in attrs["shape"])
-    total = _elements(src)
-    if target.count(-1) > 1:
-        raise GraphError(f"reshape target {target} has multiple -1 dims")
-    if -1 in target:
-        known = _elements(tuple(d for d in target if d != -1))
-        if known == 0 or total % known:
-            raise GraphError(f"cannot reshape {src} into {target}")
-        target = tuple(total // known if d == -1 else d for d in target)
-    if _elements(target) != total:
-        raise GraphError(f"cannot reshape {src} into {target}")
-    return [target]
+    if (not src or not target or target[0] != -1
+            or any(d < 1 for d in target[1:])
+            or _elements(target[1:]) != _elements(src[1:])):
+        raise GraphError(
+            f"cannot reshape {src} into {target}: the target must keep "
+            f"the batch dim as -1, then positive dims holding the "
+            f"{_elements(src[1:])} elements of one sample")
+    return [src[:1] + target[1:]]
 
 
 @register_shape("transpose")

@@ -53,10 +53,9 @@ def _keep(plan: Plan, kept: List[Node]) -> None:
 class ConstantFolding(Pass):
     """Execute initializer-only subgraphs at compile time.
 
-    Generalizes the ad-hoc per-kernel const handling the kernel baker
-    used to do: any node whose inputs are all initializers (directly or
-    through earlier folds — the walk is topological, so folds cascade)
-    is evaluated once via its *registered* ``execute`` and its outputs
+    Any node whose inputs are all initializers (directly or through
+    earlier folds — the walk is topological, so folds cascade) is
+    evaluated once via its *registered* ``execute`` and its outputs
     become initializers, so the folded value is bitwise-identical to
     what the run loop would have produced.
 

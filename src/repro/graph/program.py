@@ -14,10 +14,11 @@ exactly once:
 * **value arena with liveness** — values live in an integer-slot list
   instead of a name dict; slots are reused once their last consumer has
   run, so peak live tensors track the graph's true working set;
-* **kernel baking** — one per-op table of bakers turns every node, and
-  every step of a fused node, into a kernel with its weights prebound;
-  PWL activations become :class:`PwlKernel` records carrying the
-  memoised ``(m, q)`` coefficient table (the same table
+* **kernel baking** — every node, and every step of a fused node,
+  runs its op's registered ``execute`` with its weights prebound; the
+  one op specialised at compile time is the paper's: a PWL activation
+  becomes a :class:`PwlKernel` record carrying the memoised ``(m, q)``
+  coefficient table (the same table
   :func:`repro.core.tables.build_tables` quantises for the hardware
   LTC), so an apply is one breakpoint lookup plus one fused
   ``m[r] * x + q[r]``;
@@ -46,13 +47,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..analysis.diagnostics import Diagnostic, fail
 from ..core.pwl import PiecewiseLinear
 from ..errors import GraphError
-from ..functions import registry as fn_registry
 from ..functions.softmax import SoftmaxApproximator
-from ..functions.softmax import softmax as exact_softmax
 from ..obs.capture import get_capture
 from .ir import Graph, Node
-from .ops import (CostRecord, OpImpl, Shape, _exec_conv2d, _fused_steps,
-                  get_op, infer_node_shapes)
+from .ops import (CostRecord, OpImpl, Shape, _fused_steps, get_op,
+                  infer_node_shapes)
 
 # The process-wide PWL input-histogram accumulator.  Kernels check one
 # attribute (`enabled`, False by default) per call; when off, outputs
@@ -298,144 +297,34 @@ def _fast(kernel: Callable) -> Callable:
 
 
 # --------------------------------------------------------------------- #
-# Per-op kernel bakers: one table for single-node records and fused steps
+# Record kernels: each op's registered execute, PWL tables baked
 # --------------------------------------------------------------------- #
 Kernel = Callable[..., Any]
-Baker = Callable[[Dict[str, Any], List[np.ndarray], str], Kernel]
-
-#: op type -> ``baker(attrs, extras, name)``.  ``extras`` are the
-#: initializers bound to the node's inputs after the first; the baked
-#: kernel prebinds them and maps the first input to the op's one
-#: output.  Kernel bodies are the *identical* numpy expressions of the
-#: registered ``execute``, so baking never changes an output bit.
-_BAKERS: Dict[str, Baker] = {}
-
-#: Kernels of ops whose second input is a runtime value too (residual
-#: adds, attention matmuls): they take both inputs.
-_BINARY: Dict[str, Kernel] = {
-    "add": lambda a, b: a + b,
-    "mul": lambda a, b: a * b,
-    "matmul": lambda a, b: a @ b,
-}
 
 
-def _bakes(op_type: str) -> Callable[[Baker], Baker]:
-    def wrap(baker: Baker) -> Baker:
-        _BAKERS[op_type] = baker
-        return baker
-    return wrap
-
-
-@_bakes("activation")
-def _bake_activation(attrs, extras, name):
+def _pwl_kernel(op_type: str, attrs: Dict[str, Any],
+                name: str) -> Optional[Kernel]:
+    """The table kernel of a ``pwl`` activation or softmax whose
+    approximator is a :class:`PiecewiseLinear` table, else ``None``:
+    the paper's custom operator, the one op compilation specialises.
+    An unknown ``impl`` (RPR122) or a ``pwl`` node without an
+    approximator (RPR120) fails here, at compile time."""
     impl = attrs.get("impl", "exact")
-    if impl == "exact":
-        return fn_registry.get(attrs["fn"])
+    if op_type not in ("activation", "softmax") or impl == "exact":
+        return None
     if impl != "pwl":
-        fail("RPR122", f"unknown activation impl {impl!r}", node=name)
+        fail("RPR122", f"unknown {op_type} impl {impl!r}", node=name)
     approx = attrs.get("approximator")
     if approx is None:
-        fail("RPR120", "pwl activation node has no approximator attached",
+        fail("RPR120", f"pwl {op_type} node has no approximator attached",
              node=name)
-    if isinstance(approx, PiecewiseLinear):
+    if op_type == "activation" and isinstance(approx, PiecewiseLinear):
         return PwlKernel.from_pwl(approx, label=str(attrs.get("fn", "")))
-    return lambda x: np.asarray(approx(x), dtype=np.float64)
-
-
-@_bakes("softmax")
-def _bake_softmax(attrs, extras, name):
-    axis = int(attrs.get("axis", -1))
-    impl = attrs.get("impl", "exact")
-    if impl == "exact":
-        return lambda x: exact_softmax(x, axis=axis)
-    if impl != "pwl":
-        fail("RPR122", f"unknown softmax impl {impl!r}", node=name)
-    approx = attrs.get("approximator")
-    if approx is None:
-        fail("RPR120", "pwl softmax node has no approximator attached",
-             node=name)
-    if isinstance(approx, SoftmaxApproximator) and \
-            isinstance(approx._exp_fn, PiecewiseLinear):
-        return SoftmaxPwlKernel.from_approximator(approx, axis)
-    return lambda x: np.asarray(approx(x, axis=axis), dtype=np.float64)
-
-
-@_bakes("linear")
-def _bake_linear(attrs, extras, name):
-    w = extras[0]
-    if len(extras) > 1:
-        b = extras[1]
-        return lambda x: (x @ w) + b
-    return lambda x: x @ w
-
-
-@_bakes("conv2d")
-def _bake_conv2d(attrs, extras, name):
-    return lambda x: _exec_conv2d([x] + extras, attrs)[0]
-
-
-@_bakes("batchnorm")
-def _bake_batchnorm(attrs, extras, name):
-    scale, shift = extras
-
-    def batchnorm(x: np.ndarray) -> np.ndarray:
-        shape = [1] * x.ndim
-        shape[1] = -1
-        return x * scale.reshape(shape) + shift.reshape(shape)
-    return batchnorm
-
-
-@_bakes("layernorm")
-def _bake_layernorm(attrs, extras, name):
-    gamma, beta = extras
-    eps = float(attrs.get("eps", 1e-5))
-
-    def layernorm(x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return (x - mean) / np.sqrt(var + eps) * gamma + beta
-    return layernorm
-
-
-@_bakes("add")
-def _bake_add(attrs, extras, name):
-    c = extras[0]
-    return lambda x: x + c
-
-
-@_bakes("mul")
-def _bake_mul(attrs, extras, name):
-    c = extras[0]
-    return lambda x: x * c
-
-
-@_bakes("matmul")
-def _bake_matmul(attrs, extras, name):
-    w = extras[0]
-    return lambda x: x @ w
-
-
-@_bakes("embedding")
-def _bake_embedding(attrs, extras, name):
-    table = extras[0]
-    return lambda ids: table[ids.astype(np.int64)]
-
-
-@_bakes("reshape")
-def _bake_reshape(attrs, extras, name):
-    shape = attrs["shape"]
-    return lambda x: x.reshape(shape)
-
-
-@_bakes("transpose")
-def _bake_transpose(attrs, extras, name):
-    perm = attrs["perm"]
-    return lambda x: np.transpose(x, perm)
-
-
-@_bakes("flatten")
-def _bake_flatten(attrs, extras, name):
-    return lambda x: x.reshape(x.shape[0], -1)
+    if op_type == "softmax" and isinstance(approx, SoftmaxApproximator) \
+            and isinstance(approx._exp_fn, PiecewiseLinear):
+        return SoftmaxPwlKernel.from_approximator(
+            approx, int(attrs.get("axis", -1)))
+    return None
 
 
 def _checked(outs: Sequence[np.ndarray], n_out: int, name: str,
@@ -458,26 +347,35 @@ def _generic_kernel(op: OpImpl, attrs: Dict[str, Any], n_out: int,
     return kernel
 
 
+def _prebound_kernel(op: OpImpl, attrs: Dict[str, Any],
+                     extras: List[np.ndarray], name: str,
+                     graph: str) -> Kernel:
+    """The registered ``execute`` of a one-output node with ``extras``,
+    its initializers after the first input, bound here."""
+    def kernel(x: np.ndarray) -> np.ndarray:
+        return _checked(op.execute([x, *extras], attrs), 1, name, graph)[0]
+    return kernel
+
+
 def _bake(op_type: str, attrs: Dict[str, Any],
           consts: List[Optional[np.ndarray]], name: str, n_out: int = 1,
           graph: str = "") -> Tuple[Kernel, Tuple[int, ...]]:
     """One op's kernel plus the input positions it reads at runtime.
 
     ``consts`` lists, per input, its initializer (None for a runtime
-    value).  A baked kernel reads the first input and prebinds the
-    rest; the binary ops also have a two-runtime-input form; anything
-    else — ops without a baker, multi-output nodes, runtime weights —
-    gets the generic kernel over every input.
+    value).  A one-output node whose inputs after the first are all
+    initializers reads only the first: a PWL table kernel when
+    :func:`_pwl_kernel` gives one, else its ``execute`` with the rest
+    prebound.  Anything else runs ``execute`` over every input.
     """
     if op_type == "fused":
         return _fused_kernel(attrs, consts, name, graph)
-    baker = _BAKERS.get(op_type)
-    if n_out == 1 and consts:
-        if baker is not None and all(c is not None for c in consts[1:]):
-            return baker(attrs, list(consts[1:]), name), (0,)
-        if len(consts) == 2 and op_type in _BINARY:
-            return _BINARY[op_type], (0, 1)
-    return (_generic_kernel(get_op(op_type), attrs, n_out, name, graph),
+    op = get_op(op_type)
+    if n_out == 1 and consts and all(c is not None for c in consts[1:]):
+        kernel = _pwl_kernel(op_type, attrs, name) or _prebound_kernel(
+            op, attrs, list(consts[1:]), name, graph)
+        return kernel, (0,)
+    return (_generic_kernel(op, attrs, n_out, name, graph),
             tuple(range(len(consts))))
 
 
@@ -487,9 +385,10 @@ class FusedKernel:
 
     ``head`` is the first op's kernel over the fused record's runtime
     inputs; each ``epilogue`` kernel maps the chain value onward with
-    its constants prebound.  Both come from the same per-op bakers as
-    single-node records (PWL steps swap in the bitwise-equivalent fast
-    segment lookup), so fusion never changes a single output bit.
+    its constants prebound.  Both come from :func:`_bake`, as
+    single-node records do, so each step runs its op's registered
+    ``execute`` (PWL steps swap in the bitwise-equivalent fast segment
+    lookup) and fusion never changes a single output bit.
     """
 
     __slots__ = ("head", "epilogue", "label")
@@ -514,13 +413,14 @@ def _fused_kernel(attrs: Dict[str, Any], consts: List[Optional[np.ndarray]],
     steps = _fused_steps(attrs)
     n_head = int(steps[0]["n_inputs"])
     head, positions = _bake(steps[0]["op"], steps[0]["attrs"],
-                            consts[:n_head], name)
+                            consts[:n_head], name, graph=graph)
     epilogue: List[Kernel] = []
     pos = n_head
     for step in steps[1:]:
         n = int(step["n_inputs"])
         kernel, taken = _bake(step["op"], step["attrs"],
-                              [None] + consts[pos:pos + n], name)
+                              [None] + consts[pos:pos + n], name,
+                              graph=graph)
         pos += n
         if taken != (0,):
             return (_generic_kernel(get_op("fused"), attrs, 1, name, graph),
@@ -623,6 +523,11 @@ class Program:
         #: Non-fatal verifier findings collected at compile time
         #: (errors raise instead; see ``compile_graph``).
         self.diagnostics: List[Diagnostic] = []
+        #: Table rows per fed input an embedding reads as token ids.
+        fed = {name for name, _, _ in input_plan}
+        self._vocab = {name: rows for name, rows in
+                       _token_vocab(graph, self.order).items()
+                       if name in fed}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -720,9 +625,11 @@ class Program:
         """Validate one request for stacking; returns its sample count.
 
         Raises RPR201 for a missing input, RPR202 when trailing dims
-        differ from the plan (the stack would be ragged) and RPR203
+        differ from the plan (the stack would be ragged), RPR203
         when the request's inputs disagree on their sample count (the
-        stacked outputs could not be attributed back to it).
+        stacked outputs could not be attributed back to it) and RPR208
+        when an input an embedding reads as token ids holds anything
+        but integers in ``[0, rows)`` of its table.
         ``index`` names the request's place in a batch in messages.
         """
         where = "request" if index is None else f"request {index}"
@@ -745,6 +652,12 @@ class Program:
                 fail("RPR203",
                      f"batch-dim mismatch within {where}: input {name!r} "
                      f"carries {n} samples, earlier inputs {n_samples}",
+                     graph=self.graph.name)
+        for name, rows in self._vocab.items():
+            if not _valid_ids(np.asarray(feeds[name]), rows):
+                fail("RPR208",
+                     f"{where}: input {name!r} holds token ids outside "
+                     f"the integers 0..{rows - 1} of its embedding table",
                      graph=self.graph.name)
         return n_samples or 0
 
@@ -830,6 +743,33 @@ class Program:
                 timing.total_s += seconds
                 timing.calls += 1
         return outputs, ExecutionProfile(nodes=timings)
+
+
+def _token_vocab(graph: Graph, order: Sequence[Node]) -> Dict[str, int]:
+    """Table rows per value an ``embedding`` (or a fused record headed
+    by one) reads as token ids; the smallest table when several do."""
+    vocab: Dict[str, int] = {}
+    for node in order:
+        head = (_fused_steps(node.attrs)[0]["op"] if node.op_type == "fused"
+                else node.op_type)
+        table = (graph.initializers.get(node.inputs[1])
+                 if head == "embedding" and len(node.inputs) > 1 else None)
+        if table is not None and table.ndim:
+            ids = node.inputs[0]
+            vocab[ids] = min(vocab.get(ids, len(table)), len(table))
+    return vocab
+
+
+def _valid_ids(ids: np.ndarray, rows: int) -> bool:
+    """Every element an integral number in ``[0, rows)``: NaN and
+    infinities fail the range test, non-numeric dtypes fail outright."""
+    if ids.dtype.kind not in "biuf":
+        return False
+    if not ids.size:
+        return True
+    if not (ids.min() >= 0 and ids.max() < rows):
+        return False
+    return ids.dtype.kind != "f" or bool(np.all(np.floor(ids) == ids))
 
 
 # --------------------------------------------------------------------- #

@@ -35,6 +35,9 @@ _SRC = str(Path(repro.__file__).resolve().parents[1])
 
 def _daemon_env(cache_dir: Path) -> dict:
     env = dict(os.environ)
+    # A queue daemon: no address from the environment (``--once``
+    # refuses to listen at all).
+    env.pop("REPRO_SERVE_ADDR", None)
     env["REPRO_CACHE_DIR"] = str(cache_dir)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     return env

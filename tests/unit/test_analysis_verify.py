@@ -88,6 +88,13 @@ def with_bias(graph, length):
     return with_param(graph, 2, length)
 
 
+def reshaped(target):
+    """x of (0, 6) -> one reshape to ``target``."""
+    g = GraphBuilder("toy_reshape", seed=0)
+    g.output(g.reshape(g.input("x", (0, 6)), target))
+    return g.graph
+
+
 #: Layers whose shapes pass a naive rule but whose kernels raise or
 #: silently broadcast at run time.
 UNRUNNABLE_LAYERS = {
@@ -125,6 +132,10 @@ UNRUNNABLE_LAYERS = {
         one_op("layernorm", (0, 4)), 1, 1),
     "layernorm-beta-longer-than-dim": lambda: with_param(
         one_op("layernorm", (0, 4)), 2, 5),
+    # Runs at one sample; two stacked samples cannot take the shape.
+    "reshape-fixed-batch-dim": lambda: reshaped((2, 3)),
+    # Runs stacked, but folds samples into the batch dim.
+    "reshape-batch-dim-absorbs-sample-dims": lambda: reshaped((-1, 3)),
 }
 
 
@@ -290,6 +301,9 @@ class TestActivationChecks:
         diags = verify(g)
         hits = [d for d in diags if d.code == "RPR120"]
         assert hits and hits[0].is_error
+        for optimize in (False, True):  # a record and a fused step alike
+            with pytest.raises(DiagnosticError, match="RPR120"):
+                compile_graph(g, verify=False, optimize=optimize)
 
     def test_rpr121_unknown_activation(self):
         g = mlp()
@@ -300,6 +314,9 @@ class TestActivationChecks:
         g = mlp()
         g.nodes[-1].attrs["impl"] = "quantum"
         assert "RPR122" in codes_of(verify(g))
+        for optimize in (False, True):
+            with pytest.raises(DiagnosticError, match="RPR122"):
+                compile_graph(g, verify=False, optimize=optimize)
 
     def test_rpr130_clipped_domain(self):
         # tanh fitted only on [-0.5, 0.5] against a declared (-8, 8):

@@ -250,6 +250,22 @@ class TestCheck:
             assert report["counts"]["error"] == 0
             assert report["diagnostics"] == []
 
+    def test_json_records_what_was_checked(self, capsys, tmp_path):
+        # relu is natively piecewise linear: --pwl rewrites it without
+        # a fit.
+        argv = ["check", "generic_cnn", "--act", "relu", "--scale", "0.5",
+                "--seed", "3", "--batch", "2", "--json",
+                "--cache-dir", str(tmp_path)]
+        reports = {}
+        for pwl in ([], ["--pwl", "8"]):
+            assert main(argv + pwl) == 0
+            reports[bool(pwl)] = capsys.readouterr().out
+        assert reports[False] != reports[True]
+        exact, rewritten = (json.loads(reports[k]) for k in (False, True))
+        assert rewritten["args"] == {"act": "relu", "scale": 0.5, "seed": 3,
+                                     "batch": 2, "pwl": 8}
+        assert exact["args"]["pwl"] is None
+
     def test_list_codes(self, capsys):
         assert main(["check", "--list-codes"]) == 0
         out = capsys.readouterr().out

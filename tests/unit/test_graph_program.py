@@ -1,16 +1,21 @@
 """Unit tests for the compiled graph program (repro.graph.program)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.analysis.diagnostics import DiagnosticError
 from repro.core.pwl import PiecewiseLinear
 from repro.errors import GraphError
 from repro.functions.softmax import SoftmaxApproximator
+from repro.graph.builder import GraphBuilder
 from repro.graph.executor import interpret
 from repro.graph.ir import Graph, Node
 from repro.graph.ops import CostRecord, OP_REGISTRY, register_op
 from repro.graph.passes import make_pwl_approximators, replace_activations
 from repro.graph.program import PwlKernel, SoftmaxPwlKernel, compile_graph
+from repro.zoo.builders import build_nlp_transformer, build_vit
 
 
 class TestCompile:
@@ -208,6 +213,94 @@ class TestBakedKernels:
         ref = interpret(rewritten, {"x": rng.normal(size=(1, 3, 8, 8))})
         assert out[tiny_cnn_graph.outputs[0]].shape == \
             ref[tiny_cnn_graph.outputs[0]].shape
+
+
+class TestOpsDefinedOnce:
+    """Compiled records run each op's registered ``execute``: swapping
+    it moves compiled outputs exactly as it moves ``interpret()``'s."""
+
+    @pytest.fixture
+    def shift_linear(self):
+        """Call to swap in a ``linear`` execute that adds 0.25; the
+        registered one is restored after the test."""
+        original = OP_REGISTRY["linear"]
+
+        def swap():
+            OP_REGISTRY["linear"] = dataclasses.replace(
+                original, execute=lambda inputs, attrs: [
+                    out + 0.25 for out in original.execute(inputs, attrs)])
+
+        yield swap
+        OP_REGISTRY["linear"] = original
+
+    @pytest.mark.parametrize("optimize,record", [
+        (False, "linear"), (True, "linear+activation")])
+    def test_a_swapped_execute_moves_records_as_it_moves_interpret(
+            self, shift_linear, rng, optimize, record):
+        # x -> linear -> PWL tanh: a table, so the activation bakes.
+        g = GraphBuilder("linear_tanh", seed=0)
+        g.output(g.activation(g.linear(g.input("x", (0, 6)), 6, 5), "tanh"))
+        knots = np.linspace(-3.0, 3.0, 9)
+        pwl = PiecewiseLinear.create(knots, np.tanh(knots),
+                                     left_slope=0.0, right_slope=0.0)
+        graph, _ = replace_activations(g.graph, {"tanh": pwl})
+        feeds = {"x": rng.normal(size=(3, 6))}
+        (name,) = graph.outputs
+        before = compile_graph(graph, optimize=optimize).run(feeds)[name]
+        shift_linear()
+        prog = compile_graph(graph, optimize=optimize)
+        assert record in [cn.attrs.get("label", cn.op_type)
+                          for cn in prog.nodes]
+        ref = interpret(graph, feeds)[name]
+        assert not np.array_equal(ref, before)
+        assert np.array_equal(prog.run(feeds)[name], ref)
+        [stacked] = prog.run_many([feeds])
+        assert np.array_equal(stacked[name], ref)
+
+
+class TestTokenIdAdmission:
+    """``check_request`` admits only token ids its embedding table holds."""
+
+    @pytest.fixture(scope="class", params=[True, False],
+                    ids=["fused", "unfused"])
+    def nlp(self, request):
+        graph = build_nlp_transformer(scale=0.25, depth=1)
+        prog = compile_graph(graph, optimize=request.param)
+        heads = [cn for cn in prog.nodes
+                 if cn.op_type == "embedding"
+                 or str(cn.attrs.get("label", "")).startswith("embedding+")]
+        assert len(heads) == 1
+        return prog
+
+    @staticmethod
+    def _ids(values=(), dtype=np.float64):
+        ids = (np.arange(16) * 5 % 64).reshape(1, 16).astype(dtype)
+        ids[0, :len(values)] = values
+        return {"ids": ids}
+
+    @pytest.mark.parametrize("bad", [1e6, -1.0, 2.7, 64.0, np.nan, np.inf,
+                                     10 ** 6, -1, 64], ids=repr)
+    def test_id_outside_the_table_is_refused(self, nlp, bad):
+        dtype = np.int64 if isinstance(bad, int) else np.float64
+        with pytest.raises(DiagnosticError) as err:
+            nlp.check_request(self._ids([bad], dtype))
+        assert err.value.code == "RPR208"
+        assert "'ids'" in str(err.value)
+        with pytest.raises(DiagnosticError, match="request 1") as err:
+            nlp.run_many([self._ids(), self._ids([bad], dtype)])
+        assert err.value.code == "RPR208"
+
+    def test_ids_in_the_table_pass_and_run(self, nlp):
+        as_floats, as_ints = (self._ids([0, 63], dtype)
+                              for dtype in (np.float64, np.int64))
+        assert nlp.check_request(as_floats) == nlp.check_request(as_ints) == 1
+        (name,) = nlp.graph.outputs
+        float_out, int_out = nlp.run_many([as_floats, as_ints])
+        assert np.array_equal(float_out[name], int_out[name])
+
+    def test_a_program_without_an_embedding_checks_no_ids(self):
+        prog = compile_graph(build_vit(scale=0.25, depth=1), optimize=True)
+        assert prog._vocab == {}
 
 
 class TestRunMany:

@@ -70,6 +70,18 @@ class TestConfiguration:
         assert engine.target() == server.serve_addr
         engine.close()
 
+    def test_named_queue_beats_env_address(self, monkeypatch, server):
+        # A caller who names a queue gets it, even with a (dead)
+        # address in the environment.
+        monkeypatch.setenv(ENV_SERVE_ADDR, _DEAD)
+        engine = RemoteEngine(EngineConfig(service_root=server.queue.root))
+        caps = engine.capabilities()
+        assert caps["transport"] == "queue"
+        assert caps["target"] == str(server.queue.root)
+        assert caps["status"] == "alive"
+        [art] = engine.fit([FitRequest.create("tanh", 4, config=_TINY)])
+        assert art.provenance["transport"] == "queue"
+
     def test_queue_status_absent_then_down(self, tmp_path):
         engine = RemoteEngine(EngineConfig(service_root=tmp_path / "q"))
         assert engine.status() == "absent"  # never heartbeated

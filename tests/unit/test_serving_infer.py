@@ -18,6 +18,7 @@ from repro.serving.infer_server import (DEFAULT_BATCH_MS, MAX_BATCH_MS,
 from repro.serving.protocol import (ENV_INFER_BATCH_MS, PROTOCOL_VERSION,
                                     ROUTE_INFER, decode_array,
                                     encode_array)
+from repro.zoo.builders import build_nlp_transformer
 
 
 def _tiny_program():
@@ -258,15 +259,16 @@ class TestMalformedRequests:
         return {"protocol": PROTOCOL_VERSION, "model": "tiny",
                 "feeds": {k: encode_array(v) for k, v in feeds.items()}}
 
-    def _beside_good(self, rng, bad):
+    def _beside_good(self, rng, bad, model=None, good=None):
         """Post ``bad`` while a good request waits in a wide window;
         check the good one comes back bitwise-equal to its solo run and
-        return the bad one's answer."""
-        graph, prog = _tiny_program()
+        return the bad one's answer.  ``model`` is a ``(graph,
+        program)`` pair (default: the tiny MLP) served as "tiny"."""
+        graph, prog = model or _tiny_program()
         # A wide window: without the admission check both requests
         # would share one fused pass and fail together.
         app = InferApp({"tiny": prog}, batch_ms=200.0)
-        good = {"x": rng.normal(size=(1, 16))}
+        good = good or {"x": rng.normal(size=(1, 16))}
         answers = {}
 
         def post(key, feeds):
@@ -303,6 +305,19 @@ class TestMalformedRequests:
         assert status == 400
         assert doc["error"] == "bad-request"
         assert repr(str(feed.dtype)) in doc["message"]
+
+    @pytest.mark.parametrize("bad", [10 ** 6, -1, 2.7],
+                             ids=["1e6", "-1", "2.7"])
+    def test_token_id_outside_the_table_is_refused_alone(self, rng, bad):
+        graph = build_nlp_transformer(scale=0.25, depth=1)
+        model = (graph, compile_graph(graph, optimize=True))
+        good = {"ids": rng.integers(0, 64, size=(1, 16))}
+        poison = {"ids": good["ids"].astype(np.float64)}
+        poison["ids"][0, 7] = bad
+        status, doc, _ = self._beside_good(rng, poison, model=model,
+                                           good=good)
+        assert status == 400
+        assert doc["error"] == "RPR208" and "'ids'" in doc["message"]
 
     def test_runner_refuses_bad_feeds_and_serves_the_rest(self, rng):
         graph, prog = _tiny_program()
